@@ -37,11 +37,7 @@ from .harness import (
     summarize,
     verify_instance,
 )
-from .ledger import (
-    build_ledger,
-    check_harmonic_inequalities,
-    check_neighborhood_bound,
-)
+from .ledger import check_harmonic_inequalities
 from .solvers import KOutOfRangeError, Mode, solve
 
 
@@ -164,8 +160,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args)
-    mode = Mode(args.mode)
-    report = verify_instance(g, mode, args.k, max_n=args.max_n)
+    report = verify_instance(g, Mode(args.mode), args.k, max_n=args.max_n)
     doc = {
         "instance": report.instance_id,
         "mode": report.mode.value,
@@ -180,13 +175,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "skip_reason": report.skip_reason,
     }
     if report.skip_reason is None:
-        sol = solve(g, mode, args.k)
-        ledger = build_ledger(g, sol)
-        summary = []
-        for w in range(g.n):
-            lhs, bound = check_neighborhood_bound(ledger, w)
-            summary.append({"vertex": w, "lhs": _frac(lhs), "bound": _frac(bound)})
-        doc["ledger"] = summary
+        doc["ledger"] = [
+            {"vertex": w, "lhs": _frac(lhs), "bound": _frac(bound)}
+            for w, (lhs, bound) in enumerate(report.ledger_rows)
+        ]
     print(json.dumps(doc, indent=2))
     passed = (
         report.skip_reason is None
@@ -250,13 +242,22 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     return parse_graph(text, args.format, n=n)
 
 
-def _entries_from_json(doc: list) -> list[CorpusEntry]:
+def _entries_from_json(doc: object) -> list[CorpusEntry]:
     """Corpus document: a list of {"spec": {...FamilySpec fields...},
-    "mode": "dom"|"ktuple"|"kdom", "k": int} objects."""
+    "mode": "dom"|"ktuple"|"kdom", "k": int} objects.
+
+    Raises ValueError naming the entry index for a malformed document."""
+    if not isinstance(doc, list):
+        raise ValueError(f"corpus document must be a JSON list, got {type(doc).__name__}")
     entries = []
-    for item in doc:
-        spec = FamilySpec(**item["spec"])
-        entries.append(CorpusEntry(spec, Mode(item["mode"]), int(item.get("k", 1))))
+    for i, item in enumerate(doc):
+        try:
+            spec = FamilySpec(**item["spec"])
+            entries.append(CorpusEntry(spec, Mode(item["mode"]), int(item.get("k", 1))))
+        except KeyError as exc:
+            raise ValueError(f"corpus entry {i}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"corpus entry {i}: {exc}") from None
     return entries
 
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .graph import Graph
-from .solvers import KOutOfRangeError, Mode
+from .solvers import Mode, check_k
 
 DEFAULT_MAX_N = 24
 NAIVE_MAX_N = 8
@@ -132,19 +132,7 @@ def _check_instance(g: Graph, mode: Mode, k: int, max_n: int) -> None:
         raise InstanceTooLargeError(
             f"exact search capped at n <= {max_n}, got n = {g.n}"
         )
-    if mode is Mode.DOM:
-        if k != 1:
-            raise KOutOfRangeError(f"plain domination has no multiplicity, got k={k}")
-    elif mode is Mode.KTUPLE:
-        if not 1 <= k <= g.min_degree() + 1:
-            raise KOutOfRangeError(
-                f"k-tuple domination needs 1 <= k <= min_degree + 1 = {g.min_degree() + 1}, got k={k}"
-            )
-    elif mode is Mode.KDOM:
-        if k < 1:
-            raise KOutOfRangeError(f"k-domination needs k >= 1, got k={k}")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    check_k(g, mode, k)
 
 
 def _validator(g: Graph, mode: Mode, k: int):
@@ -167,16 +155,9 @@ class _Search:
         self.mode = mode
         self.k = k
         self.nodes = 0
-        # providers[v]: choosing one of these vertices advances v's count.
-        if mode is Mode.KDOM:
-            self.providers = tuple(g.neighbors(v) | {v} for v in range(g.n))
-            self.need = k
-        elif mode is Mode.KTUPLE:
-            self.providers = tuple(g.closed_neighborhood(v) for v in range(g.n))
-            self.need = k
-        else:
-            self.providers = tuple(g.closed_neighborhood(v) for v in range(g.n))
-            self.need = 1
+        # providers[v]: choosing one of these vertices advances v's count
+        # (for KDOM, choosing v itself satisfies v outright).
+        self.providers = tuple(g.closed_neighborhood(v) for v in range(g.n))
 
     def feasible(self, target: int) -> list[int] | None:
         """A satisfying set of size <= target, or None."""
@@ -190,7 +171,7 @@ class _Search:
     def _satisfied(self, v: int) -> bool:
         if self.mode is Mode.KDOM:
             return self.in_chosen[v] or self.count[v] >= self.k
-        return self.count[v] >= self.need
+        return self.count[v] >= self.k
 
     def _dfs(self, budget: int) -> list[int] | None:
         self.nodes += 1
@@ -218,7 +199,7 @@ class _Search:
                 if not (can_self or can_fill):
                     return None
             else:
-                deficit = self.need - self.count[v]
+                deficit = self.k - self.count[v]
                 if deficit > len(avail) or deficit > budget:
                     return None
             if branch_v < 0 or len(avail) < len(branch_avail):

@@ -15,6 +15,7 @@ import concurrent.futures
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exact import DEFAULT_MAX_N, InstanceTooLargeError, exact_minimum
 from .generators import FamilySpec, generate
@@ -51,7 +52,9 @@ class RatioReport:
     exact_size, ratio and bound_satisfied are None when the exact solver was
     skipped (instance over the size cap).  A report with skip_reason set has
     no numeric results at all: the combination's precondition failed (only
-    k-tuple with k > min_degree + 1 in the default corpus).
+    k-tuple with k > min_degree + 1 in the default corpus).  ledger_rows
+    holds (lhs, bound) of the neighborhood bound for every vertex in id
+    order; it is not a CSV column.
     """
 
     instance_id: str
@@ -73,6 +76,7 @@ class RatioReport:
     skip_reason: str | None = None
     greedy_time_s: float | None = None
     exact_time_s: float | None = None
+    ledger_rows: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def sort_key(self) -> tuple[str, str, int]:
         return (self.instance_id, self.mode.value, self.k)
@@ -127,11 +131,11 @@ def verify_instance(
         return RatioReport(**base, skip_reason=str(exc))
     ledger = build_ledger(g, sol)
     ledger_ok = check_sum_identity(ledger) == sol.size
+    rows = []
     for w in range(g.n):
-        if not ledger_ok:
-            break
         lhs, bound_h = check_neighborhood_bound(ledger, w)
-        ledger_ok = lhs <= bound_h and check_residual_decomposition(ledger, w)
+        rows.append((lhs, bound_h))
+        ledger_ok = ledger_ok and lhs <= bound_h and check_residual_decomposition(ledger, w, lhs)
     bound = approximation_bound(mode, g.max_degree(), k)
     try:
         t0 = time.perf_counter()
@@ -145,6 +149,7 @@ def verify_instance(
             ledger_checks_passed=ledger_ok,
             trivial=sol.trivial,
             greedy_time_s=greedy_time,
+            ledger_rows=tuple(rows),
         )
     ratio = sol.size / exact.optimum
     return RatioReport(
@@ -158,6 +163,7 @@ def verify_instance(
         trivial=sol.trivial,
         greedy_time_s=greedy_time,
         exact_time_s=exact_time,
+        ledger_rows=tuple(rows),
     )
 
 

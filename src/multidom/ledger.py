@@ -176,18 +176,26 @@ class CostLedger:
 def build_ledger(g: Graph, sol: Solution) -> CostLedger:
     """Reconstruct the charging data from a solution trace.
 
-    Validates that the trace belongs to g and that its arrival bookkeeping
-    is internally consistent (every vertex accumulates exactly k arrivals,
-    completion iterations match the recorded newly-covered sets, and each
-    iteration's score equals the arrival events it caused).
+    Validates that the trace belongs to g, that chosen lists the iteration
+    vertices in order without repeats, that iterations are numbered 1, 2,
+    ..., and that its arrival bookkeeping is internally consistent (every
+    vertex accumulates exactly k arrivals, completion iterations match the
+    recorded newly-covered sets, and each iteration's score equals the
+    arrival events it caused).
     """
     if sol.graph_fingerprint != g.fingerprint():
         raise ValueError("solution trace does not match this graph")
+    if sol.chosen != tuple(rec.vertex for rec in sol.iterations):
+        raise ValueError("solution chosen order does not match its iteration vertices")
+    if len(set(sol.chosen)) != len(sol.chosen):
+        raise ValueError("solution chooses a vertex more than once")
     n = g.n
     k = sol.k
     arrivals: list[list[int]] = [[] for _ in range(n)]
     contributors: list[list[int]] = [[] for _ in range(n)]
-    for rec in sol.iterations:
+    for i, rec in enumerate(sol.iterations):
+        if rec.index != i + 1:
+            raise ValueError(f"iteration {i + 1} is numbered {rec.index}")
         events = 0
         completed = []
         if sol.mode is Mode.KDOM:
@@ -283,15 +291,15 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Frac
     return lhs, bound
 
 
-def check_residual_decomposition(ledger: CostLedger, w: int) -> bool:
+def check_residual_decomposition(ledger: CostLedger, w: int, lhs: Fraction) -> bool:
     """Confirm the harmonic-bound derivation step by step around w.
 
-    Three facts, the first two exact, and together they imply the
-    neighborhood bound: the lhs charge equals sum_i (r_{i-1} - r_i)/score_i;
-    that is at most sum_i (r_{i-1} - r_i)/r_{i-1} because each greedy score
-    dominates the residual; and the latter telescopes to at most H(r_0).
+    lhs is w's charge as returned by check_neighborhood_bound.  Three facts,
+    the first two exact, and together they imply the neighborhood bound:
+    lhs equals sum_i (r_{i-1} - r_i)/score_i; that is at most
+    sum_i (r_{i-1} - r_i)/r_{i-1} because each greedy score dominates the
+    residual; and the latter telescopes to at most H(r_0).
     """
-    lhs, _ = check_neighborhood_bound(ledger, w)
     r = ledger.residual_sequence(w)
     per_score = Fraction(0)
     per_residual = Fraction(0)

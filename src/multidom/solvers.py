@@ -1,27 +1,27 @@
 """Greedy solvers for three domination variants, with per-iteration traces.
 
-All three follow the same loop: while some vertex is not yet fully covered,
-select the not-yet-chosen vertex with the highest score for the variant,
-breaking ties toward the smallest vertex id.  The trace records enough state
-(scores, newly covered vertices, token placements) to audit every step after
-the fact without re-running the solver.
+All three variants share one rule, run by one loop in solve():
 
-Variants and their scores:
+* every vertex needs k arrivals, with k = 1 for plain domination;
+* choosing v gives one arrival to each neighbor of v;
+* if v itself is still uncovered (short of k arrivals), choosing v also
+  gives it arrivals: one for plain and k-tuple domination, where v counts
+  as one member of its own closed neighborhood, and all k - count(v) it
+  still lacks for k-domination, where membership in the set satisfies v;
+* arrivals to a vertex that is already covered do not count.
 
-* plain domination: score(v) = number of vertices in v's closed neighborhood
-  not yet dominated by the chosen set;
-* k-tuple domination (each vertex needs k chosen vertices in its closed
-  neighborhood, so it requires k <= min_degree + 1): score(v) = number of
-  vertices in v's closed neighborhood not yet fully covered;
-* k-domination (each non-chosen vertex needs k chosen neighbors): score(v) =
-  coverage deficiency of v itself (how many more chosen neighbors v would
-  need) plus the number of v's neighbors not yet fully covered.
+The greedy chooses the unchosen vertex whose choice causes the most arrivals
+that still count, breaking ties toward the smallest vertex id.  So
+score(v) = #uncovered neighbors of v + (the self-gain if v is uncovered).
+k-tuple domination needs k <= min_degree + 1 (some closed neighborhood is
+otherwise too small); k-domination accepts every k >= 1 and is trivial, with
+all of V chosen, when k > max_degree.
 
-The k-domination solver additionally does token bookkeeping: selecting v
-places one token on each not-yet-covered neighbor of v and enough tokens on
-v itself to close its own deficiency.  Every vertex accumulates exactly k
-tokens over the run, and the tokens placed in one iteration equal the
-selection score, which is what the cost-ledger checks lean on.
+The trace records enough state (scores, newly covered vertices and, for
+k-domination, token placements) to audit every step after the fact without
+re-running the solver.  A token is one arrival; every vertex collects exactly
+k tokens over the run, and the tokens placed in one iteration equal its
+score, which is what the cost-ledger checks lean on.
 """
 
 from __future__ import annotations
@@ -96,170 +96,102 @@ class Solution:
         return len(self.chosen)
 
 
-def greedy_dominating_set(g: Graph) -> Solution:
-    """Greedy dominating set; approximation factor ln(max_degree + 1) + 1."""
-    n = g.n
-    covered: set[int] = set()
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    records: list[IterationRecord] = []
-    while len(covered) < n:
-        best, best_score = -1, 0
-        for v in range(n):
-            if v in chosen_set:
-                continue
-            s = _count_outside(g.closed_neighborhood(v), covered)
-            if s > best_score:
-                best, best_score = v, s
-        newly = sorted(g.closed_neighborhood(best) - covered)
-        covered.update(newly)
-        chosen.append(best)
-        chosen_set.add(best)
-        records.append(
-            IterationRecord(
-                index=len(chosen),
-                vertex=best,
-                score=best_score,
-                newly_covered=tuple(newly),
-                covered_after=len(covered),
-            )
-        )
-    return Solution(
-        mode=Mode.DOM,
-        k=1,
-        chosen=tuple(chosen),
-        iterations=tuple(records),
-        graph_fingerprint=g.fingerprint(),
-    )
-
-
-def greedy_ktuple_dominating_set(g: Graph, k: int) -> Solution:
-    """Greedy k-tuple dominating set: every vertex ends with at least k
-    chosen vertices in its closed neighborhood.
-
-    Requires 1 <= k <= min_degree + 1; beyond that no solution exists at all
-    (some closed neighborhood is smaller than k), so the call is an error.
-    Approximation factor ln(max_degree + 1) + 1.
-    """
-    if not 1 <= k <= g.min_degree() + 1:
-        raise KOutOfRangeError(
-            f"k-tuple domination needs 1 <= k <= min_degree + 1 = {g.min_degree() + 1}, got k={k}"
-        )
-    n = g.n
-    hits = [0] * n  # chosen vertices in each closed neighborhood
-    covered: set[int] = set()
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    records: list[IterationRecord] = []
-    while len(covered) < n:
-        best, best_score = -1, 0
-        for v in range(n):
-            if v in chosen_set:
-                continue
-            s = _count_outside(g.closed_neighborhood(v), covered)
-            if s > best_score:
-                best, best_score = v, s
-        newly = []
-        for u in sorted(g.closed_neighborhood(best)):
-            hits[u] += 1
-            if hits[u] == k:
-                newly.append(u)
-                covered.add(u)
-        chosen.append(best)
-        chosen_set.add(best)
-        records.append(
-            IterationRecord(
-                index=len(chosen),
-                vertex=best,
-                score=best_score,
-                newly_covered=tuple(newly),
-                covered_after=len(covered),
-            )
-        )
-    return Solution(
-        mode=Mode.KTUPLE,
-        k=k,
-        chosen=tuple(chosen),
-        iterations=tuple(records),
-        graph_fingerprint=g.fingerprint(),
-    )
-
-
-def greedy_kdominating_set(g: Graph, k: int) -> Solution:
-    """Greedy k-dominating set: every vertex outside the output has at least
-    k chosen neighbors.
-
-    Defined for every k >= 1.  When k > max_degree no vertex can be covered
-    from outside, the optimum is trivially all of V, and the returned
-    Solution carries trivial=True; the greedy loop still runs so the trace
-    keeps its step-by-step guarantees.  Approximation factor
-    ln(max_degree + k) + 1.
-    """
-    if k < 1:
-        raise KOutOfRangeError(f"k-domination needs k >= 1, got k={k}")
-    n = g.n
-    trivial = k > g.max_degree()
-    nbrs_chosen = [0] * n  # chosen neighbors of each vertex
-    covered: set[int] = set()
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    records: list[IterationRecord] = []
-    while len(covered) < n:
-        best, best_score = -1, 0
-        for v in range(n):
-            if v in chosen_set:
-                continue
-            s = max(k - nbrs_chosen[v], 0) + _count_outside(g.neighbors(v), covered)
-            if s > best_score:
-                best, best_score = v, s
-        tokens: dict[int, int] = {}
-        deficiency = max(k - nbrs_chosen[best], 0)
-        if deficiency:
-            tokens[best] = deficiency
-        newly = []
-        if best not in covered:
-            covered.add(best)  # membership satisfies the requirement
-            newly.append(best)
-        for u in g.adjacency[best]:
-            nbrs_chosen[u] += 1
-            if u not in covered:
-                tokens[u] = 1
-                if nbrs_chosen[u] >= k:
-                    covered.add(u)
-                    newly.append(u)
-        chosen.append(best)
-        chosen_set.add(best)
-        records.append(
-            IterationRecord(
-                index=len(chosen),
-                vertex=best,
-                score=best_score,
-                newly_covered=tuple(sorted(newly)),
-                tokens_placed=tokens,
-                covered_after=len(covered),
-            )
-        )
-    return Solution(
-        mode=Mode.KDOM,
-        k=k,
-        chosen=tuple(chosen),
-        iterations=tuple(records),
-        graph_fingerprint=g.fingerprint(),
-        trivial=trivial,
-    )
-
-
-def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
-    """Dispatch to the greedy solver for mode."""
+def check_k(g: Graph, mode: Mode, k: int) -> None:
+    """Raise KOutOfRangeError unless mode admits multiplicity k on g."""
     if mode is Mode.DOM:
         if k != 1:
             raise KOutOfRangeError(f"plain domination has no multiplicity, got k={k}")
-        return greedy_dominating_set(g)
-    if mode is Mode.KTUPLE:
-        return greedy_ktuple_dominating_set(g, k)
-    if mode is Mode.KDOM:
-        return greedy_kdominating_set(g, k)
-    raise ValueError(f"unknown mode {mode!r}")
+    elif mode is Mode.KTUPLE:
+        if not 1 <= k <= g.min_degree() + 1:
+            raise KOutOfRangeError(
+                f"k-tuple domination needs 1 <= k <= min_degree + 1 = {g.min_degree() + 1}, got k={k}"
+            )
+    elif mode is Mode.KDOM:
+        if k < 1:
+            raise KOutOfRangeError(f"k-domination needs k >= 1, got k={k}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
+    """Greedy run for mode: while some vertex has fewer than k arrivals,
+    choose the unchosen vertex whose choice causes the most arrivals that
+    still count, breaking ties toward the smallest id.
+
+    Raises KOutOfRangeError when check_k rejects k.
+    """
+    check_k(g, mode, k)
+    kdom = mode is Mode.KDOM
+    n = g.n
+    adjacency = g.adjacency
+    count = [0] * n  # arrivals that counted, so never above k
+    is_chosen = [False] * n
+    covered = 0
+    chosen: list[int] = []
+    records: list[IterationRecord] = []
+    while covered < n:
+        best, best_score = -1, 0
+        for v in range(n):
+            if is_chosen[v]:
+                continue
+            s = 0
+            for u in adjacency[v]:
+                if count[u] < k:
+                    s += 1
+            if count[v] < k:
+                s += k - count[v] if kdom else 1
+            if s > best_score:
+                best, best_score = v, s
+        tokens: dict[int, int] = {}
+        newly: list[int] = []
+        if count[best] < k:
+            tokens[best] = k - count[best] if kdom else 1
+        for u in adjacency[best]:
+            if count[u] < k:
+                tokens[u] = 1
+        for u, arrivals in tokens.items():
+            count[u] += arrivals
+            if count[u] == k:
+                newly.append(u)
+        newly.sort()
+        covered += len(newly)
+        chosen.append(best)
+        is_chosen[best] = True
+        records.append(
+            IterationRecord(
+                index=len(chosen),
+                vertex=best,
+                score=best_score,
+                newly_covered=tuple(newly),
+                tokens_placed=tokens if kdom else {},
+                covered_after=covered,
+            )
+        )
+    return Solution(
+        mode=mode,
+        k=k,
+        chosen=tuple(chosen),
+        iterations=tuple(records),
+        graph_fingerprint=g.fingerprint(),
+        trivial=kdom and k > g.max_degree(),
+    )
+
+
+def greedy_dominating_set(g: Graph) -> Solution:
+    """Greedy dominating set; approximation factor ln(max_degree + 1) + 1."""
+    return solve(g, Mode.DOM)
+
+
+def greedy_ktuple_dominating_set(g: Graph, k: int) -> Solution:
+    """Greedy k-tuple dominating set, for 1 <= k <= min_degree + 1;
+    approximation factor ln(max_degree + 1) + 1."""
+    return solve(g, Mode.KTUPLE, k)
+
+
+def greedy_kdominating_set(g: Graph, k: int) -> Solution:
+    """Greedy k-dominating set, for k >= 1; approximation factor
+    ln(max_degree + k) + 1.  The result is trivial when k > max_degree."""
+    return solve(g, Mode.KDOM, k)
 
 
 def is_valid_solution(g: Graph, sol: Solution) -> bool:

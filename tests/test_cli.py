@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from multidom import Graph, parse_dimacs, write_dimacs
+from multidom import (
+    Graph,
+    Mode,
+    build_ledger,
+    check_neighborhood_bound,
+    parse_dimacs,
+    solve,
+    write_dimacs,
+)
 from multidom.cli import main
 
 
@@ -79,14 +87,27 @@ def test_exact_over_cap(c6_path, capsys):
 
 
 def test_verify(c6_path, capsys):
-    assert main(["verify", c6_path, "--mode", "ktuple", "--k", "2"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["ledger_checks_passed"] is True
-    assert doc["bound_satisfied"] is True
-    assert len(doc["ledger"]) == 6
-    for item in doc["ledger"]:
-        num, den = item["lhs"].split("/")
-        assert int(den) > 0 and int(num) >= 0
+    for mode, k in ((Mode.DOM, 1), (Mode.KTUPLE, 2), (Mode.KDOM, 2)):
+        assert main(["verify", c6_path, "--mode", mode.value, "--k", str(k)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ledger_checks_passed"] is True
+        assert doc["bound_satisfied"] is True
+        assert len(doc["ledger"]) == 6
+        for item in doc["ledger"]:
+            num, den = item["lhs"].split("/")
+            assert int(den) > 0 and int(num) >= 0
+        # The rows come from the report's single audit pass; they must match
+        # an audit of a freshly built ledger.
+        ledger = build_ledger(C6, solve(C6, mode, k))
+        expected = []
+        for w in range(C6.n):
+            lhs, bound = check_neighborhood_bound(ledger, w)
+            expected.append({
+                "vertex": w,
+                "lhs": f"{lhs.numerator}/{lhs.denominator}",
+                "bound": f"{bound.numerator}/{bound.denominator}",
+            })
+        assert doc["ledger"] == expected
 
 
 def test_verify_skip_exits_nonzero(tmp_path, capsys):
@@ -135,6 +156,28 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
     assert main(["bench", "--corpus", str(corpus_path)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["skipped"] == 1
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([{"mode": "dom", "k": 1}], "corpus entry 0: missing key 'spec'"),
+        (
+            [{"spec": {"family": "cycle", "n": 8}, "mode": "dom"},
+             {"spec": {"family": "cycle", "n": 8, "size": 3}, "mode": "dom"}],
+            "corpus entry 1:",
+        ),
+        ({"spec": {"family": "cycle", "n": 8}, "mode": "dom"}, "must be a JSON list"),
+    ],
+    ids=["missing_spec", "unknown_spec_field", "not_a_list"],
+)
+def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps(doc))
+    assert main(["bench", "--corpus", str(corpus_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_selfcheck(capsys):

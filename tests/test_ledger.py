@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -130,6 +131,34 @@ def test_build_ledger_rejects_wrong_graph():
         build_ledger(star(5), sol)
 
 
+C6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+C6_RUNS = [(Mode.DOM, 1), (Mode.KTUPLE, 2), (Mode.KDOM, 2)]
+
+
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+def test_build_ledger_rejects_reordered_chosen(mode, k):
+    sol = solve(C6, mode, k)
+    assert len(sol.chosen) >= 2
+    forged = dataclasses.replace(sol, chosen=sol.chosen[::-1])
+    with pytest.raises(ValueError, match="chosen order"):
+        build_ledger(C6, forged)
+
+
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+def test_build_ledger_rejects_malformed_iterations(mode, k):
+    sol = solve(C6, mode, k)
+    first = sol.iterations[0]
+    repeat = dataclasses.replace(first, index=2)
+    forged = dataclasses.replace(
+        sol, chosen=(first.vertex, first.vertex), iterations=(first, repeat)
+    )
+    with pytest.raises(ValueError, match="more than once"):
+        build_ledger(C6, forged)
+    renumbered = (dataclasses.replace(first, index=2),) + sol.iterations[1:]
+    with pytest.raises(ValueError, match="iteration 1 is numbered 2"):
+        build_ledger(C6, dataclasses.replace(sol, iterations=renumbered))
+
+
 def test_cost_domain_checked():
     g = path(4)
     led = build_ledger(g, greedy_dominating_set(g))
@@ -169,7 +198,7 @@ def test_neighborhood_bounds_everywhere(g):
         for w in range(g.n):
             lhs, bound = check_neighborhood_bound(led, w)
             assert lhs <= bound
-            assert check_residual_decomposition(led, w)
+            assert check_residual_decomposition(led, w, lhs)
 
 
 @settings(deadline=None, max_examples=30)

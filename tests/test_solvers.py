@@ -1,15 +1,22 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from multidom import (
+    FamilySpec,
     Graph,
     KOutOfRangeError,
     Mode,
+    default_corpus,
+    generate,
     greedy_dominating_set,
     greedy_kdominating_set,
     greedy_ktuple_dominating_set,
     is_valid_solution,
+    solution_to_dict,
     solve,
     verify_greedy_optimality,
 )
@@ -88,6 +95,28 @@ def test_kdom_trivial_case():
 def test_kdom_non_trivial_has_no_flag():
     assert not greedy_kdominating_set(star(6), 2).trivial
     assert not greedy_kdominating_set(cycle(5), 2).trivial
+
+
+# Recorded from the three separate greedy loops that solve() replaced: one
+# sha256 over every solvable default-corpus run plus a larger random graph.
+PINNED_TRACES = (688, "0793dc159ee8059cc36fd7f30fd1b08b5ff7ca8b6553c4ea2d7f09a11cb8378c")
+
+
+def test_traces_match_pinned_digest():
+    runs = [(e.spec, e.mode, e.k) for e in default_corpus()]
+    er = FamilySpec("erdos_renyi", n=60, p=0.1, seed=1)
+    runs.append((er, Mode.DOM, 1))
+    runs.extend((er, mode, k) for mode in (Mode.KTUPLE, Mode.KDOM) for k in (1, 2, 3))
+    h = hashlib.sha256()
+    solved = 0
+    for spec, mode, k in runs:
+        try:
+            sol = solve(generate(spec), mode, k)
+        except KOutOfRangeError:
+            continue
+        solved += 1
+        h.update(json.dumps(solution_to_dict(sol), sort_keys=True).encode() + b"\n")
+    assert (solved, h.hexdigest()) == PINNED_TRACES
 
 
 # -- preconditions ------------------------------------------------------------
