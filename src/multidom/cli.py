@@ -46,10 +46,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, FormatError, KOutOfRangeError, InstanceTooLargeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (
+        GraphError, FormatError, KOutOfRangeError, InstanceTooLargeError, ValueError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

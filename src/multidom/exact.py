@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .graph import Graph
-from .solvers import Mode, check_k
+from .solvers import Mode, check_k, self_gain
 
 DEFAULT_MAX_N = 24
 NAIVE_MAX_N = 8
@@ -152,11 +152,13 @@ class _Search:
 
     def __init__(self, g: Graph, mode: Mode, k: int):
         self.g = g
-        self.mode = mode
         self.k = k
+        self.kdom = mode is Mode.KDOM
         self.nodes = 0
-        # providers[v]: choosing one of these vertices advances v's count
-        # (for KDOM, choosing v itself satisfies v outright).
+        # Choosing u gives one arrival to each neighbor and self_gain(mode, k,
+        # 0) to u itself, so v is satisfied iff count[v] >= k.
+        self.self_gain = self_gain(mode, k, 0)
+        # providers[v]: the vertices whose choice gives v arrivals.
         self.providers = tuple(g.closed_neighborhood(v) for v in range(g.n))
 
     def feasible(self, target: int) -> list[int] | None:
@@ -164,19 +166,14 @@ class _Search:
         self.chosen: list[int] = []
         self.in_chosen = [False] * self.g.n
         self.excluded = [False] * self.g.n
-        # count[v]: chosen providers of v (for KDOM, chosen neighbors only).
         self.count = [0] * self.g.n
         return self._dfs(target)
-
-    def _satisfied(self, v: int) -> bool:
-        if self.mode is Mode.KDOM:
-            return self.in_chosen[v] or self.count[v] >= self.k
-        return self.count[v] >= self.k
 
     def _dfs(self, budget: int) -> list[int] | None:
         self.nodes += 1
         g = self.g
-        unsat = [v for v in range(g.n) if not self._satisfied(v)]
+        k = self.k
+        unsat = [v for v in range(g.n) if self.count[v] < k]
         if not unsat:
             return list(self.chosen)
         if budget == 0:
@@ -191,17 +188,15 @@ class _Search:
                 for u in sorted(self.providers[v])
                 if not self.in_chosen[u] and not self.excluded[u]
             ]
-            if self.mode is Mode.KDOM:
-                deficit = self.k - self.count[v]
-                open_avail = len(avail) - (1 if not self.excluded[v] and not self.in_chosen[v] else 0)
-                can_self = not self.excluded[v] and budget >= 1
-                can_fill = deficit <= open_avail and deficit <= budget
-                if not (can_self or can_fill):
-                    return None
-            else:
-                deficit = self.k - self.count[v]
-                if deficit > len(avail) or deficit > budget:
-                    return None
+            deficit = k - self.count[v]
+            # own: the arrivals v can still give itself, self_gain(mode, k,
+            # count[v]) inlined.  Choosing v spends one pick and one of the
+            # avail slots.
+            own = 0 if self.excluded[v] else deficit if self.kdom else 1
+            if len(avail) - (own > 0) + own < deficit:
+                return None
+            if (1 if own >= deficit else deficit) > budget:
+                return None
             if branch_v < 0 or len(avail) < len(branch_avail):
                 branch_v, branch_avail = v, avail
         u = branch_avail[0]
@@ -220,21 +215,13 @@ class _Search:
     def _choose(self, u: int) -> None:
         self.chosen.append(u)
         self.in_chosen[u] = True
-        if self.mode is Mode.KDOM:
-            for w in self.g.adjacency[u]:
-                self.count[w] += 1
-        else:
-            self.count[u] += 1
-            for w in self.g.adjacency[u]:
-                self.count[w] += 1
+        self.count[u] += self.self_gain
+        for w in self.g.adjacency[u]:
+            self.count[w] += 1
 
     def _unchoose(self, u: int) -> None:
         self.chosen.pop()
         self.in_chosen[u] = False
-        if self.mode is Mode.KDOM:
-            for w in self.g.adjacency[u]:
-                self.count[w] -= 1
-        else:
-            self.count[u] -= 1
-            for w in self.g.adjacency[u]:
-                self.count[w] -= 1
+        self.count[u] -= self.self_gain
+        for w in self.g.adjacency[u]:
+            self.count[w] -= 1

@@ -43,10 +43,6 @@ class Graph:
         self._nbr_sets: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in nbrs)
         self._fingerprint: tuple[int, int, str] | None = None
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(n, edges)
-
     # -- basic queries ------------------------------------------------------
 
     def vertices(self) -> range:

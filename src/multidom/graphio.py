@@ -238,9 +238,7 @@ def write_report_csv(reports: Iterable[RatioReport]) -> str:
                 row.append("")
             elif isinstance(value, Mode):
                 row.append(value.value)
-            elif col in ("ratio", "bound"):
-                row.append(f"{value:.6f}")
-            elif col in ("greedy_time_s", "exact_time_s"):
+            elif col in ("ratio", "bound", "greedy_time_s", "exact_time_s"):
                 row.append(f"{value:.6f}")
             elif isinstance(value, bool):
                 row.append("true" if value else "false")

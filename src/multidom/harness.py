@@ -26,7 +26,7 @@ from .ledger import (
     check_residual_decomposition,
     check_sum_identity,
 )
-from .solvers import KOutOfRangeError, Mode, solve
+from .solvers import KOutOfRangeError, Mode, self_gain, solve
 
 BOUND_SLACK = 1e-9
 
@@ -96,10 +96,9 @@ class CorpusSummary:
 
 
 def approximation_bound(mode: Mode, max_degree: int, k: int) -> float:
-    """Proven approximation factor for the variant on graphs of this degree."""
-    if mode is Mode.KDOM:
-        return math.log(max_degree + k) + 1.0
-    return math.log(max_degree + 1) + 1.0
+    """Proven approximation factor for the variant on graphs of this degree:
+    ln(max_degree + 1) + 1, or ln(max_degree + k) + 1 for k-domination."""
+    return math.log(max_degree + self_gain(mode, k, 0)) + 1.0
 
 
 def verify_instance(

@@ -1,17 +1,23 @@
 """Exact-rational cost accounting for greedy solutions.
 
-The greedy bounds rest on a charging argument: the unit spent selecting a
-vertex in iteration i is split evenly among the score(i) coverage events that
-step causes, so each event costs 1/score(i).  This module rebuilds that
-bookkeeping from a solution trace and exposes the three facts the analysis
+All three greedy bounds rest on one charging argument.  Every vertex needs k
+arrivals, and the step that chooses a vertex causes as many arrivals as its
+score (solvers.step_arrivals is the rule).  The unit spent on iteration i is
+split evenly among its score(i) arrivals, so each arrival costs 1/score(i).
+This module replays a solution trace with that same rule, rejects a trace
+that disagrees with the replay, and exposes the three facts the analysis
 needs, each checkable in exact arithmetic:
 
-* sum identity: all per-event costs add up to exactly the solution size;
+* sum identity: all per-arrival costs add up to exactly the solution size;
 * subset bound: the total charged to a vertex is at most the total it would
   have been charged by any k-subset of its closed neighborhood;
 * neighborhood bound: the total charge seen around any single vertex w is at
-  most a harmonic number - H(deg(w) + 1) for the closed-neighborhood
-  variants, H(deg(w) + k) for k-domination.
+  most H(deg(w) + self_gain), where self_gain is what w would give itself
+  if chosen first: 1 for the closed-neighborhood variants, k for
+  k-domination.  The potential left around w after iteration i is w's own
+  greedy score at that point, its uncovered neighbors plus its self-gain
+  while it is uncovered; each arrival around w is charged at most 1 over
+  that potential, so the charges telescope to the harmonic number.
 
 All ledger arithmetic uses fractions.Fraction; floats only appear when
 comparing harmonic numbers against logarithms.
@@ -20,12 +26,13 @@ comparing harmonic numbers against logarithms.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .graph import Graph
-from .solvers import Mode, Solution
+from .solvers import Mode, Solution, check_k, self_gain, step_arrivals
 
 _HARMONIC_CACHE: list[Fraction] = [Fraction(0)]
 
@@ -78,16 +85,15 @@ def check_harmonic_log_bound(x_max: int, tol: float = 1e-12) -> bool:
 
 @dataclass(frozen=True)
 class CostLedger:
-    """Per-vertex charging data reconstructed from one greedy run.
+    """Per-vertex charging data replayed from one greedy run.
 
     For every vertex v, arrivals[v] lists the k iteration indices (1-based,
-    non-decreasing) at which v's coverage requirement progressed, and
-    contributors[v] lists the vertex chosen in each of those iterations.
-    For the closed-neighborhood variants an arrival is "a member of N[v] was
-    chosen"; for k-domination it is "a token landed on v", so a vertex's own
-    deficiency top-up can repeat the same iteration.  scores[i-1] is the
-    selection score of iteration i, which equals the number of arrival
-    events that iteration caused.
+    non-decreasing) at which v received an arrival, and contributors[v]
+    lists the vertex chosen in each of those iterations.  A chosen vertex's
+    self-gain lands on it in its own iteration, as k - count arrivals for
+    k-domination, so an iteration can repeat there.  scores[i-1] is the
+    selection score of iteration i, which equals the number of arrivals
+    that iteration caused.
     """
 
     mode: Mode
@@ -131,93 +137,70 @@ class CostLedger:
         )
 
     def residual_sequence(self, w: int) -> tuple[int, ...]:
-        """Potential-coverage counts r_0 >= r_1 >= ... >= r_m = 0 around w.
+        """w's greedy score after each iteration: r_0 >= r_1 >= ... >= r_m = 0.
 
-        r_i is how much of w's surroundings is still chargeable after
-        iteration i: for the closed-neighborhood variants, the number of
-        members of N[w] not yet fully covered; for k-domination, the number
-        of w's neighbors not yet covered plus w's own remaining deficiency.
-        Selecting w itself ends the sequence (r drops to 0 there).  The
-        sequence stops at the first zero.
+        r_i is 0 once w has been chosen.  Otherwise it is the number of w's
+        neighbors not yet covered after iteration i, plus w's self-gain
+        while w itself is uncovered.  The sequence stops at the first zero.
         """
-        g = self.graph
+        nbrs = self.graph.adjacency[w]
         join_w = self.join_iteration(w)
         r: list[int] = []
-        if self.mode is Mode.KDOM:
-            nbrs = sorted(g.neighbors(w))
-            joins = {u: self.join_iteration(u) for u in nbrs}
-            i = 0
-            while True:
-                if join_w is not None and join_w <= i:
-                    r.append(0)
-                    break
-                uncovered = sum(1 for u in nbrs if self.covered_at(u) > i)
-                chosen_nbrs = sum(1 for u in nbrs if joins[u] is not None and joins[u] <= i)
-                val = uncovered + max(self.k - chosen_nbrs, 0)
-                r.append(val)
-                if val == 0:
-                    break
-                i += 1
-        else:
-            closed = sorted(g.closed_neighborhood(w))
-            i = 0
-            while True:
-                if self.mode is Mode.KTUPLE and join_w is not None and join_w <= i:
-                    r.append(0)
-                    break
-                val = sum(1 for u in closed if self.covered_at(u) > i)
-                r.append(val)
-                if val == 0:
-                    break
-                i += 1
-        return tuple(r)
+        i = 0
+        while True:
+            val = 0
+            if join_w is None or join_w > i:
+                val = sum(1 for u in nbrs if self.covered_at(u) > i)
+                if self.covered_at(w) > i:
+                    val += self_gain(self.mode, self.k, bisect_right(self.arrivals[w], i))
+            r.append(val)
+            if val == 0:
+                return tuple(r)
+            i += 1
 
 
 def build_ledger(g: Graph, sol: Solution) -> CostLedger:
-    """Reconstruct the charging data from a solution trace.
+    """Replay a solution trace with the solver's arrival rule.
 
-    Validates that the trace belongs to g, that chosen lists the iteration
-    vertices in order without repeats, that iterations are numbered 1, 2,
-    ..., and that its arrival bookkeeping is internally consistent (every
-    vertex accumulates exactly k arrivals, completion iterations match the
-    recorded newly-covered sets, and each iteration's score equals the
-    arrival events it caused).
+    Validates that the trace belongs to g and admits its k, that chosen
+    lists the iteration vertices in order without repeats, that iterations
+    are numbered 1, 2, ..., and that every iteration vertex is in 0..n-1.
+    Each step is then replayed with solvers.step_arrivals: it must cause
+    at least one arrival, the recorded score, newly-covered vertices,
+    covered_after count and, for k-domination, token placements must equal
+    the replay's, and every vertex must end with exactly k arrivals.
     """
     if sol.graph_fingerprint != g.fingerprint():
         raise ValueError("solution trace does not match this graph")
+    check_k(g, sol.mode, sol.k)
     if sol.chosen != tuple(rec.vertex for rec in sol.iterations):
         raise ValueError("solution chosen order does not match its iteration vertices")
     if len(set(sol.chosen)) != len(sol.chosen):
         raise ValueError("solution chooses a vertex more than once")
     n = g.n
     k = sol.k
+    count = [0] * n
+    covered = 0
     arrivals: list[list[int]] = [[] for _ in range(n)]
     contributors: list[list[int]] = [[] for _ in range(n)]
     for i, rec in enumerate(sol.iterations):
         if rec.index != i + 1:
             raise ValueError(f"iteration {i + 1} is numbered {rec.index}")
-        events = 0
+        v = rec.vertex
+        if not 0 <= v < n:
+            raise ValueError(f"iteration {rec.index} chooses vertex {v} outside 0..{n - 1}")
+        tokens = step_arrivals(g, sol.mode, k, count, v)
         completed = []
-        if sol.mode is Mode.KDOM:
-            for u in sorted(rec.tokens_placed):
-                count = rec.tokens_placed[u]
-                if count < 1:
-                    raise ValueError(f"iteration {rec.index} places {count} tokens on {u}")
-                arrivals[u].extend([rec.index] * count)
-                contributors[u].extend([rec.vertex] * count)
-                events += count
-                if len(arrivals[u]) == k:
-                    completed.append(u)
-                elif len(arrivals[u]) > k:
-                    raise ValueError(f"vertex {u} exceeds {k} arrivals")
-        else:
-            for u in sorted(g.closed_neighborhood(rec.vertex)):
-                if len(arrivals[u]) < k:
-                    arrivals[u].append(rec.index)
-                    contributors[u].append(rec.vertex)
-                    events += 1
-                    if len(arrivals[u]) == k:
-                        completed.append(u)
+        for u in sorted(tokens):
+            arrivals[u].extend([rec.index] * tokens[u])
+            contributors[u].extend([v] * tokens[u])
+            count[u] += tokens[u]
+            if count[u] == k:
+                completed.append(u)
+        covered += len(completed)
+        events = sum(tokens.values())
+        if events == 0:
+            raise ValueError(f"iteration {rec.index} causes no arrivals")
         if events != rec.score:
             raise ValueError(
                 f"iteration {rec.index} score {rec.score} != {events} arrival events"
@@ -227,7 +210,17 @@ def build_ledger(g: Graph, sol: Solution) -> CostLedger:
                 f"iteration {rec.index} newly-covered mismatch: "
                 f"{tuple(completed)} != {rec.newly_covered}"
             )
-    short = [v for v in range(n) if len(arrivals[v]) != k]
+        if rec.covered_after != covered:
+            raise ValueError(
+                f"iteration {rec.index} covered_after {rec.covered_after} != {covered}"
+            )
+        placed = tokens if sol.mode is Mode.KDOM else {}
+        if dict(rec.tokens_placed) != placed:
+            raise ValueError(
+                f"iteration {rec.index} tokens_placed mismatch: "
+                f"{dict(rec.tokens_placed)} != {placed}"
+            )
+    short = [v for v in range(n) if count[v] != k]
     if short:
         raise ValueError(f"vertices {short} did not accumulate {k} arrivals")
     return CostLedger(
@@ -273,22 +266,16 @@ def check_subset_cost_bound(ledger: CostLedger, v: int, subset: Iterable[int]) -
 def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Fraction]:
     """(lhs, bound) for the per-vertex harmonic bound; lhs <= bound must hold.
 
-    For the closed-neighborhood variants, lhs is the total coverage charge
-    assigned to w over all v in N[w] and the bound is H(deg(w) + 1).  For
-    k-domination, lhs adds w's own coverage charge to the charges its
-    neighbors assign to it, and the bound is H(deg(w) + k).
+    lhs is the charge w takes: cost(v, w) for each neighbor v, plus w's
+    self-charge.  For k-domination that is all of w's own coverage charge,
+    since w's self-gain could settle every arrival w needs; otherwise it is
+    cost(w, w).  The bound is H(deg(w) + self_gain(mode, k, 0)), that is
+    H(deg(w) + 1), or H(deg(w) + k) for k-domination.
     """
     g = ledger.graph
-    if ledger.mode is Mode.KDOM:
-        lhs = sum((ledger.cost(v, w) for v in g.neighbors(w)), Fraction(0))
-        lhs += ledger.own_cost_sum(w)
-        bound = harmonic(g.degree(w) + ledger.k)
-    else:
-        lhs = sum(
-            (ledger.cost(v, w) for v in g.closed_neighborhood(w)), Fraction(0)
-        )
-        bound = harmonic(g.degree(w) + 1)
-    return lhs, bound
+    lhs = sum((ledger.cost(v, w) for v in g.neighbors(w)), Fraction(0))
+    lhs += ledger.own_cost_sum(w) if ledger.mode is Mode.KDOM else ledger.cost(w, w)
+    return lhs, harmonic(g.degree(w) + self_gain(ledger.mode, ledger.k, 0))
 
 
 def check_residual_decomposition(ledger: CostLedger, w: int, lhs: Fraction) -> bool:

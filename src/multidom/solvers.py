@@ -13,6 +13,8 @@ All three variants share one rule, run by one loop in solve():
 The greedy chooses the unchosen vertex whose choice causes the most arrivals
 that still count, breaking ties toward the smallest vertex id.  So
 score(v) = #uncovered neighbors of v + (the self-gain if v is uncovered).
+self_gain() and step_arrivals() state this rule once; the ledger audit, the
+exact oracle and the harness bound use them instead of testing the mode.
 k-tuple domination needs k <= min_degree + 1 (some closed neighborhood is
 otherwise too small); k-domination accepts every k >= 1 and is trivial, with
 all of V chosen, when k > max_degree.
@@ -113,6 +115,24 @@ def check_k(g: Graph, mode: Mode, k: int) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def self_gain(mode: Mode, k: int, count: int) -> int:
+    """Arrivals an uncovered vertex with count arrivals gives itself when
+    chosen: all k - count it lacks for k-domination, one otherwise."""
+    return k - count if mode is Mode.KDOM else 1
+
+
+def step_arrivals(g: Graph, mode: Mode, k: int, count: list[int], v: int) -> dict[int, int]:
+    """{vertex: arrivals} that choosing v causes when vertex u already has
+    count[u] arrivals.  Only vertices short of k arrivals receive any."""
+    tokens: dict[int, int] = {}
+    if count[v] < k:
+        tokens[v] = self_gain(mode, k, count[v])
+    for u in g.adjacency[v]:
+        if count[u] < k:
+            tokens[u] = 1
+    return tokens
+
+
 def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     """Greedy run for mode: while some vertex has fewer than k arrivals,
     choose the unchosen vertex whose choice causes the most arrivals that
@@ -139,16 +159,13 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
                 if count[u] < k:
                     s += 1
             if count[v] < k:
+                # self_gain(mode, k, count[v]), inlined: this runs once per
+                # candidate per step.
                 s += k - count[v] if kdom else 1
             if s > best_score:
                 best, best_score = v, s
-        tokens: dict[int, int] = {}
+        tokens = step_arrivals(g, mode, k, count, best)
         newly: list[int] = []
-        if count[best] < k:
-            tokens[best] = k - count[best] if kdom else 1
-        for u in adjacency[best]:
-            if count[u] < k:
-                tokens[u] = 1
         for u, arrivals in tokens.items():
             count[u] += arrivals
             if count[u] == k:

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from multidom import (
+    FamilySpec,
     Graph,
+    KOutOfRangeError,
     Mode,
     build_ledger,
     check_harmonic_inequalities,
@@ -16,10 +20,13 @@ from multidom import (
     check_residual_decomposition,
     check_subset_cost_bound,
     check_sum_identity,
+    default_corpus,
+    generate,
     greedy_dominating_set,
     greedy_kdominating_set,
     greedy_ktuple_dominating_set,
     harmonic,
+    self_gain,
     solve,
 )
 from conftest import graphs
@@ -159,6 +166,74 @@ def test_build_ledger_rejects_malformed_iterations(mode, k):
         build_ledger(C6, dataclasses.replace(sol, iterations=renumbered))
 
 
+def _forge_kdom_tokens(*placements):
+    """The C6 k=2 kdom trace with iteration i's tokens_placed replaced."""
+    sol = solve(C6, Mode.KDOM, 2)
+    iterations = list(sol.iterations)
+    for i, tokens in placements:
+        iterations[i] = dataclasses.replace(iterations[i], tokens_placed=tokens)
+    return dataclasses.replace(sol, iterations=tuple(iterations))
+
+
+@pytest.mark.parametrize(
+    "placements",
+    [
+        # One token moved from 1 to the non-neighbor 3, and one back from 3
+        # to 1: scores, newly-covered sets and arrival totals still agree.
+        ((0, {0: 2, 3: 1, 5: 1}), (1, {2: 2, 1: 2})),
+        ((0, {0: 2, 1: 1, -1: 1}),),  # -1 would index vertex 5
+        ((0, {0: 2, 1: 1, 6: 1}),),
+    ],
+)
+def test_build_ledger_rejects_forged_tokens(placements):
+    with pytest.raises(ValueError, match="tokens_placed mismatch"):
+        build_ledger(C6, _forge_kdom_tokens(*placements))
+
+
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+def test_build_ledger_rejects_forged_covered_after(mode, k):
+    sol = solve(C6, mode, k)
+    forged = (dataclasses.replace(sol.iterations[0], covered_after=99),) + sol.iterations[1:]
+    with pytest.raises(ValueError, match="covered_after 99"):
+        build_ledger(C6, dataclasses.replace(sol, iterations=forged))
+
+
+def test_build_ledger_rejects_out_of_range_vertex():
+    sol = solve(C6, Mode.KDOM, 2)
+    first = dataclasses.replace(sol.iterations[0], vertex=sol.iterations[0].vertex - 6)
+    forged = dataclasses.replace(
+        sol, chosen=(first.vertex,) + sol.chosen[1:], iterations=(first,) + sol.iterations[1:]
+    )
+    with pytest.raises(ValueError, match="outside 0..5"):
+        build_ledger(C6, forged)
+
+
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+def test_build_ledger_rejects_step_without_arrivals(mode, k):
+    sol = solve(C6, mode, k)
+    unchosen = min(set(range(6)) - set(sol.chosen))
+    extra = dataclasses.replace(
+        sol.iterations[-1],
+        index=sol.size + 1,
+        vertex=unchosen,
+        score=0,
+        newly_covered=(),
+        tokens_placed={},
+    )
+    forged = dataclasses.replace(
+        sol, chosen=sol.chosen + (unchosen,), iterations=sol.iterations + (extra,)
+    )
+    with pytest.raises(ValueError, match="causes no arrivals"):
+        build_ledger(C6, forged)
+
+
+def test_build_ledger_rejects_inadmissible_k():
+    # A 2-tuple trace relabelled as plain domination replays consistently.
+    sol = solve(C6, Mode.KTUPLE, 2)
+    with pytest.raises(ValueError, match="no multiplicity"):
+        build_ledger(C6, dataclasses.replace(sol, mode=Mode.DOM))
+
+
 def test_cost_domain_checked():
     g = path(4)
     led = build_ledger(g, greedy_dominating_set(g))
@@ -174,6 +249,42 @@ def test_subset_bound_preconditions():
     with pytest.raises(ValueError):
         check_subset_cost_bound(led, 1, {1, 5})  # 5 not in N[1]
     assert check_subset_cost_bound(led, 1, {1, 0})
+
+
+# Recorded from the mode-specific audit code that the shared arrival rule
+# replaced: one sha256 over the (lhs, bound) row, the residual sequence and
+# the residual decomposition of every vertex of every solvable default-corpus
+# run plus a larger random graph.
+PINNED_AUDIT = (688, "c89ff3fb356bbe7e0dc410a33fe72870066312a715271a9681280d4f3c7befca")
+
+
+def test_audit_matches_pinned_digest():
+    runs = [(e.spec, e.mode, e.k) for e in default_corpus()]
+    er = FamilySpec("erdos_renyi", n=60, p=0.1, seed=1)
+    runs.append((er, Mode.DOM, 1))
+    runs.extend((er, mode, k) for mode in (Mode.KTUPLE, Mode.KDOM) for k in (1, 2, 3))
+    h = hashlib.sha256()
+    solved = 0
+    for spec, mode, k in runs:
+        g = generate(spec)
+        try:
+            led = build_ledger(g, solve(g, mode, k))
+        except KOutOfRangeError:
+            continue
+        solved += 1
+        rows = []
+        for w in range(g.n):
+            lhs, bound = check_neighborhood_bound(led, w)
+            rows.append(
+                [
+                    str(lhs),
+                    str(bound),
+                    list(led.residual_sequence(w)),
+                    check_residual_decomposition(led, w, lhs),
+                ]
+            )
+        h.update(json.dumps(rows).encode() + b"\n")
+    assert (solved, h.hexdigest()) == PINNED_AUDIT
 
 
 # -- property checks over random runs ------------------------------------------
@@ -231,24 +342,13 @@ def test_arrival_structure(g, k):
 
 
 @settings(deadline=None, max_examples=40)
-@given(graphs(max_n=8), st.integers(1, 3))
-def test_residual_sequences(g, k):
-    sol = greedy_kdominating_set(g, k)
-    led = build_ledger(g, sol)
-    for w in range(g.n):
-        r = led.residual_sequence(w)
-        assert r[0] == g.degree(w) + k
-        assert r[-1] == 0
-        assert all(a >= b for a, b in zip(r, r[1:]))
-        assert all(x > 0 for x in r[:-1])
-
-
-@settings(deadline=None, max_examples=40)
 @given(graphs(max_n=8))
-def test_residual_sequences_dom(g):
-    led = build_ledger(g, greedy_dominating_set(g))
-    for w in range(g.n):
-        r = led.residual_sequence(w)
-        assert r[0] == g.degree(w) + 1
-        assert r[-1] == 0
-        assert all(a >= b for a, b in zip(r, r[1:]))
+def test_residual_sequences(g):
+    for mode, k in _solvable_modes(g):
+        led = build_ledger(g, solve(g, mode, k))
+        for w in range(g.n):
+            r = led.residual_sequence(w)
+            assert r[0] == g.degree(w) + self_gain(mode, k, 0)
+            assert all(a >= b for a, b in zip(r, r[1:]))
+            assert r[-1] == 0
+            assert all(x > 0 for x in r[:-1])
