@@ -352,3 +352,14 @@ def test_residual_sequences(g):
             assert all(a >= b for a, b in zip(r, r[1:]))
             assert r[-1] == 0
             assert all(x > 0 for x in r[:-1])
+
+
+@settings(deadline=None, max_examples=40)
+@given(graphs(max_n=8))
+def test_residual_sequences_dom(g):
+    led = build_ledger(g, greedy_dominating_set(g))
+    for w in range(g.n):
+        r = led.residual_sequence(w)
+        assert r[0] == g.degree(w) + 1
+        assert r[-1] == 0
+        assert all(a >= b for a, b in zip(r, r[1:]))
