@@ -15,9 +15,25 @@ that still count, breaking ties toward the smallest vertex id.  So
 score(v) = #uncovered neighbors of v + (the self-gain if v is uncovered).
 self_gain() and step_arrivals() state this rule once; the ledger audit, the
 exact oracle and the harness bound use them instead of testing the mode.
+
 k-tuple domination needs k <= min_degree + 1 (some closed neighborhood is
 otherwise too small); k-domination accepts every k >= 1 and is trivial, with
 all of V chosen, when k > max_degree.
+
+solve() finds each pick with a lazy max-heap (the accelerated greedy of
+Minoux, 1978) instead of re-scoring every vertex: it re-scores only the top
+entry and re-inserts it while its stored score is stale.  Two facts make this
+pick exactly what a full scan would:
+
+* a score never rises, since counts only grow and a chosen vertex leaves
+  the heap, so no stored score is below the true one;
+* keys order as (-score, id), so the first top entry whose stored score is
+  fresh has the maximum score and the smallest id among those that have it.
+
+A key goes stale only when its score falls, so a run re-inserts at most once
+per score decrease, O(m + k*n) times; each inspection costs O(deg + log n),
+where the scan cost O(m + n) per pick.
+verify_greedy_optimality() keeps the full scan as the independent reference.
 
 The trace records enough state (scores, newly covered vertices and, for
 k-domination, token placements) to audit every step after the fact without
@@ -29,6 +45,7 @@ score, which is what the cost-ledger checks lean on.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -138,6 +155,13 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     choose the unchosen vertex whose choice causes the most arrivals that
     still count, breaking ties toward the smallest id.
 
+    Candidates sit in a lazy max-heap of (-score, v) keys.  The top vertex is
+    re-scored; if its stored key is stale it goes back with the fresh score,
+    otherwise it is taken.  This is exact because a score never rises (counts
+    only grow and chosen vertices leave the heap), so every stored score is
+    at least the true one, and a fresh top therefore holds the maximum score
+    with the smallest id among the vertices that have it.
+
     Raises KOutOfRangeError when check_k rejects k.
     """
     check_k(g, mode, k)
@@ -145,25 +169,27 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     n = g.n
     adjacency = g.adjacency
     count = [0] * n  # arrivals that counted, so never above k
-    is_chosen = [False] * n
+    gain0 = self_gain(mode, k, 0)
+    heap = [(-(len(adjacency[v]) + gain0), v) for v in range(n)]
+    heapq.heapify(heap)
     covered = 0
     chosen: list[int] = []
     records: list[IterationRecord] = []
     while covered < n:
-        best, best_score = -1, 0
-        for v in range(n):
-            if is_chosen[v]:
-                continue
-            s = 0
-            for u in adjacency[v]:
+        while True:
+            stored, best = heap[0]
+            best_score = 0
+            for u in adjacency[best]:
                 if count[u] < k:
-                    s += 1
-            if count[v] < k:
-                # self_gain(mode, k, count[v]), inlined: this runs once per
-                # candidate per step.
-                s += k - count[v] if kdom else 1
-            if s > best_score:
-                best, best_score = v, s
+                    best_score += 1
+            if count[best] < k:
+                # self_gain(mode, k, count[best]), inlined: this runs once per
+                # heap inspection.
+                best_score += k - count[best] if kdom else 1
+            if best_score == -stored:
+                break
+            heapq.heapreplace(heap, (-best_score, best))
+        heapq.heappop(heap)
         tokens = step_arrivals(g, mode, k, count, best)
         newly: list[int] = []
         for u, arrivals in tokens.items():
@@ -173,7 +199,6 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
         newly.sort()
         covered += len(newly)
         chosen.append(best)
-        is_chosen[best] = True
         records.append(
             IterationRecord(
                 index=len(chosen),

@@ -58,6 +58,18 @@ def test_dom_trace_on_p3():
     assert sol.iterations[0].score == 3
 
 
+def test_dom_trace_on_p5_passes_stale_keys():
+    # Keys start at deg + 1: (2, 3, 3, 3, 2).  After 1 is taken (covering
+    # 0, 1, 2), the top keys of 2 (stored 3, fresh 1), 3 (stored 3, fresh 2)
+    # and 0 (stored 2, fresh 0) are all stale before 3 is taken with score 2.
+    # Accepting any stale key would take 2 second, not 3.
+    sol = greedy_dominating_set(path(5))
+    assert sol.chosen == (1, 3)
+    assert [r.score for r in sol.iterations] == [3, 2]
+    assert [r.newly_covered for r in sol.iterations] == [(0, 1, 2), (3, 4)]
+    assert verify_greedy_optimality(path(5), sol)
+
+
 def test_ktuple_trace_on_k5():
     sol = greedy_ktuple_dominating_set(complete(5), 3)
     assert sol.chosen == (0, 1, 2)
@@ -102,11 +114,8 @@ def test_kdom_non_trivial_has_no_flag():
 PINNED_TRACES = (688, "0793dc159ee8059cc36fd7f30fd1b08b5ff7ca8b6553c4ea2d7f09a11cb8378c")
 
 
-def test_traces_match_pinned_digest():
-    runs = [(e.spec, e.mode, e.k) for e in default_corpus()]
-    er = FamilySpec("erdos_renyi", n=60, p=0.1, seed=1)
-    runs.append((er, Mode.DOM, 1))
-    runs.extend((er, mode, k) for mode in (Mode.KTUPLE, Mode.KDOM) for k in (1, 2, 3))
+def _trace_digest(runs):
+    """(number solved, sha256 over the trace JSON) of the solvable runs."""
     h = hashlib.sha256()
     solved = 0
     for spec, mode, k in runs:
@@ -116,7 +125,29 @@ def test_traces_match_pinned_digest():
             continue
         solved += 1
         h.update(json.dumps(solution_to_dict(sol), sort_keys=True).encode() + b"\n")
-    assert (solved, h.hexdigest()) == PINNED_TRACES
+    return solved, h.hexdigest()
+
+
+def _er_runs(spec):
+    return [(spec, Mode.DOM, 1)] + [(spec, mode, k) for mode in (Mode.KTUPLE, Mode.KDOM) for k in (1, 2, 3)]
+
+
+def test_traces_match_pinned_digest():
+    runs = [(e.spec, e.mode, e.k) for e in default_corpus()]
+    runs += _er_runs(FamilySpec("erdos_renyi", n=60, p=0.1, seed=1))
+    assert _trace_digest(runs) == PINNED_TRACES
+
+
+# Recorded from the O(n)-scan loop that the lazy heap replaced.  These graphs
+# are large enough for stale heap keys and long tie runs; the corpus digest
+# above only covers n <= 16.
+PINNED_LARGE_TRACES = (14, "9c7f6f58a8c2e38e9cc706dbb1c8f696e69f0d0a17ce709a07d7ae95e1aa54b3")
+
+
+def test_large_traces_match_pinned_digest():
+    runs = _er_runs(FamilySpec("erdos_renyi", n=200, p=0.05, seed=3))
+    runs += _er_runs(FamilySpec("erdos_renyi", n=120, p=0.3, seed=4))
+    assert _trace_digest(runs) == PINNED_LARGE_TRACES
 
 
 # -- preconditions ------------------------------------------------------------
@@ -207,6 +238,43 @@ def test_k1_collapse(g):
     assert [r.score for r in a.iterations] == [r.score for r in b.iterations]
     assert [r.vertex for r in a.iterations] == [r.vertex for r in c.iterations]
     assert [r.score for r in a.iterations] == [r.score for r in c.iterations]
+
+
+def _admissible_runs(g):
+    yield Mode.DOM, 1
+    for k in range(1, min(4, g.min_degree() + 1) + 1):
+        yield Mode.KTUPLE, k
+    for k in range(1, 5):
+        yield Mode.KDOM, k
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 40),
+    st.sampled_from((0.05, 0.1, 0.2, 0.5, 0.8, 1.0)),
+    st.integers(0, 2**32),
+)
+def test_heap_matches_reference_on_larger_graphs(n, p, seed):
+    # Sparse and dense graphs up to n = 40, where heap keys go stale and
+    # tie runs are long; the reference replay re-scores every vertex.
+    g = generate(FamilySpec("erdos_renyi", n=n, p=p, seed=seed))
+    for mode, k in _admissible_runs(g):
+        sol = solve(g, mode, k)
+        assert is_valid_solution(g, sol)
+        assert verify_greedy_optimality(g, sol)
+
+
+def test_heap_matches_reference_on_tie_heavy_families():
+    specs = []
+    for n in (7, 16, 33, 60):
+        specs += [FamilySpec("cycle", n=n), FamilySpec("complete", n=n), FamilySpec("star", n=n)]
+    specs += [FamilySpec("complete_bipartite", a=a, b=a) for a in (3, 8, 17, 30)]
+    for spec in specs:
+        g = generate(spec)
+        for mode, k in _admissible_runs(g):
+            sol = solve(g, mode, k)
+            assert is_valid_solution(g, sol), (spec, mode, k)
+            assert verify_greedy_optimality(g, sol), (spec, mode, k)
 
 
 def test_determinism():
