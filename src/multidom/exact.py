@@ -158,14 +158,14 @@ class _Search:
         # Choosing u gives one arrival to each neighbor and self_gain(mode, k,
         # 0) to u itself, so v is satisfied iff count[v] >= k.
         self.self_gain = self_gain(mode, k, 0)
-        # providers[v]: the vertices whose choice gives v arrivals.
-        self.providers = tuple(g.closed_neighborhood(v) for v in range(g.n))
+        # providers[v]: the vertices whose choice gives v arrivals, sorted.
+        self.providers = tuple(tuple(sorted(g.closed_neighborhood(v))) for v in range(g.n))
 
     def feasible(self, target: int) -> list[int] | None:
         """A satisfying set of size <= target, or None."""
         self.chosen: list[int] = []
-        self.in_chosen = [False] * self.g.n
-        self.excluded = [False] * self.g.n
+        # decided[u]: u is chosen or excluded on the current branch.
+        self.decided = [False] * self.g.n
         self.count = [0] * self.g.n
         return self._dfs(target)
 
@@ -183,19 +183,12 @@ class _Search:
         branch_v = -1
         branch_avail: list[int] = []
         for v in unsat:
-            avail = [
-                u
-                for u in sorted(self.providers[v])
-                if not self.in_chosen[u] and not self.excluded[u]
-            ]
+            avail = [u for u in self.providers[v] if not self.decided[u]]
             deficit = k - self.count[v]
-            # own: the arrivals v can still give itself, self_gain(mode, k,
-            # count[v]) inlined.  Choosing v spends one pick and one of the
-            # avail slots.
-            own = 0 if self.excluded[v] else deficit if self.kdom else 1
-            if len(avail) - (own > 0) + own < deficit:
-                return None
-            if (1 if own >= deficit else deficit) > budget:
+            # An undecided v under k-domination can settle itself with one
+            # pick; every other v needs deficit more picks among avail.
+            settles_itself = self.kdom and not self.decided[v]
+            if not settles_itself and (len(avail) < deficit or deficit > budget):
                 return None
             if branch_v < 0 or len(avail) < len(branch_avail):
                 branch_v, branch_avail = v, avail
@@ -207,21 +200,21 @@ class _Search:
         if found is not None:
             return found
         # Exclude u.
-        self.excluded[u] = True
+        self.decided[u] = True
         found = self._dfs(budget)
-        self.excluded[u] = False
+        self.decided[u] = False
         return found
 
     def _choose(self, u: int) -> None:
         self.chosen.append(u)
-        self.in_chosen[u] = True
+        self.decided[u] = True
         self.count[u] += self.self_gain
         for w in self.g.adjacency[u]:
             self.count[w] += 1
 
     def _unchoose(self, u: int) -> None:
         self.chosen.pop()
-        self.in_chosen[u] = False
+        self.decided[u] = False
         self.count[u] -= self.self_gain
         for w in self.g.adjacency[u]:
             self.count[w] -= 1

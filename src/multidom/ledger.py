@@ -88,12 +88,13 @@ class CostLedger:
     """Per-vertex charging data replayed from one greedy run.
 
     For every vertex v, arrivals[v] lists the k iteration indices (1-based,
-    non-decreasing) at which v received an arrival, and contributors[v]
-    lists the vertex chosen in each of those iterations.  A chosen vertex's
-    self-gain lands on it in its own iteration, as k - count arrivals for
+    non-decreasing) at which v received an arrival; the vertex behind an
+    arrival at iteration i is chosen[i-1].  A chosen vertex's self-gain
+    lands on it in its own iteration, as k - count arrivals for
     k-domination, so an iteration can repeat there.  scores[i-1] is the
     selection score of iteration i, which equals the number of arrivals
-    that iteration caused.
+    that iteration caused.  joined[v] is the iteration that chose v, or
+    len(chosen) + 1 if v was never chosen.
     """
 
     mode: Mode
@@ -102,14 +103,11 @@ class CostLedger:
     chosen: tuple[int, ...]
     scores: tuple[int, ...]
     arrivals: tuple[tuple[int, ...], ...]
-    contributors: tuple[tuple[int, ...], ...]
+    joined: tuple[int, ...]
 
     def join_iteration(self, v: int) -> int | None:
         """Iteration at which v was selected, or None."""
-        try:
-            return self.chosen.index(v) + 1
-        except ValueError:
-            return None
+        return self.joined[v] if self.joined[v] <= len(self.chosen) else None
 
     def covered_at(self, v: int) -> int:
         """Iteration at which v's requirement became fully satisfied."""
@@ -120,14 +118,13 @@ class CostLedger:
 
         If w caused one of v's arrival events, the charge is one share of
         that iteration's score; otherwise w is charged the default: one
-        share of the iteration that completed v's coverage.
+        share of the iteration that completed v's coverage.  Choosing w
+        gives v an arrival exactly when v is still uncovered, so both cases
+        are one share of iteration min(joined[w], covered_at(v)).
         """
         if w != v and w not in self.graph.neighbors(v):
             raise ValueError(f"vertex {w} is not in the closed neighborhood of {v}")
-        for it, contributor in zip(self.arrivals[v], self.contributors[v]):
-            if contributor == w:
-                return Fraction(1, self.scores[it - 1])
-        return Fraction(1, self.scores[self.covered_at(v) - 1])
+        return Fraction(1, self.scores[min(self.joined[w], self.covered_at(v)) - 1])
 
     def own_cost_sum(self, v: int) -> Fraction:
         """Total charged for v's own coverage: one share per arrival event."""
@@ -144,12 +141,12 @@ class CostLedger:
         while w itself is uncovered.  The sequence stops at the first zero.
         """
         nbrs = self.graph.adjacency[w]
-        join_w = self.join_iteration(w)
+        join_w = self.joined[w]
         r: list[int] = []
         i = 0
         while True:
             val = 0
-            if join_w is None or join_w > i:
+            if join_w > i:
                 val = sum(1 for u in nbrs if self.covered_at(u) > i)
                 if self.covered_at(w) > i:
                     val += self_gain(self.mode, self.k, bisect_right(self.arrivals[w], i))
@@ -182,18 +179,18 @@ def build_ledger(g: Graph, sol: Solution) -> CostLedger:
     count = [0] * n
     covered = 0
     arrivals: list[list[int]] = [[] for _ in range(n)]
-    contributors: list[list[int]] = [[] for _ in range(n)]
+    joined = [len(sol.chosen) + 1] * n
     for i, rec in enumerate(sol.iterations):
         if rec.index != i + 1:
             raise ValueError(f"iteration {i + 1} is numbered {rec.index}")
         v = rec.vertex
         if not 0 <= v < n:
             raise ValueError(f"iteration {rec.index} chooses vertex {v} outside 0..{n - 1}")
+        joined[v] = rec.index
         tokens = step_arrivals(g, sol.mode, k, count, v)
         completed = []
         for u in sorted(tokens):
             arrivals[u].extend([rec.index] * tokens[u])
-            contributors[u].extend([v] * tokens[u])
             count[u] += tokens[u]
             if count[u] == k:
                 completed.append(u)
@@ -230,7 +227,7 @@ def build_ledger(g: Graph, sol: Solution) -> CostLedger:
         chosen=sol.chosen,
         scores=tuple(rec.score for rec in sol.iterations),
         arrivals=tuple(tuple(a) for a in arrivals),
-        contributors=tuple(tuple(c) for c in contributors),
+        joined=tuple(joined),
     )
 
 

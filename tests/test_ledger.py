@@ -120,15 +120,15 @@ def test_arrival_bookkeeping():
     led = build_ledger(g, greedy_ktuple_dominating_set(g, 2))
     # Center: covered once vertex 1 joins (its 2nd closed-neighborhood pick).
     assert led.arrivals[0] == (1, 2)
-    assert led.contributors[0] == (0, 1)
+    assert tuple(led.chosen[it - 1] for it in led.arrivals[0]) == (0, 1)
     assert led.covered_at(0) == 2
     # Leaf 6 waits for its own selection.
     assert led.arrivals[6] == (1, 7)
-    assert led.contributors[6] == (0, 6)
+    assert tuple(led.chosen[it - 1] for it in led.arrivals[6]) == (0, 6)
     led2 = build_ledger(g, greedy_kdominating_set(g, 2))
     # KDOM: the center tops itself up with 2 tokens at iteration 1.
     assert led2.arrivals[0] == (1, 1)
-    assert led2.contributors[0] == (0, 0)
+    assert tuple(led2.chosen[it - 1] for it in led2.arrivals[0]) == (0, 0)
 
 
 def test_build_ledger_rejects_wrong_graph():
@@ -234,6 +234,24 @@ def test_build_ledger_rejects_inadmissible_k():
         build_ledger(C6, dataclasses.replace(sol, mode=Mode.DOM))
 
 
+def _scanned_cost(led, v, w):
+    """cost(v, w) by scanning v's arrivals for one that w caused."""
+    for it in led.arrivals[v]:
+        if led.chosen[it - 1] == w:
+            return Fraction(1, led.scores[it - 1])
+    return Fraction(1, led.scores[led.covered_at(v) - 1])
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs(max_n=9))
+def test_cost_matches_arrival_scan(g):
+    for mode, k in _solvable_modes(g):
+        led = build_ledger(g, solve(g, mode, k))
+        for v in range(g.n):
+            for w in g.closed_neighborhood(v):
+                assert led.cost(v, w) == _scanned_cost(led, v, w)
+
+
 def test_cost_domain_checked():
     g = path(4)
     led = build_ledger(g, greedy_dominating_set(g))
@@ -335,7 +353,7 @@ def test_arrival_structure(g, k):
         assert list(arr) == sorted(arr)
         # closed-neighborhood picks are distinct iterations and contributors
         assert len(set(arr)) == k
-        assert len(set(led.contributors[v])) == k
+        assert len(set(led.chosen[it - 1] for it in arr)) == k
         # cost monotonicity: earlier contributors are never cheaper than the last
         costs = [Fraction(1, led.scores[it - 1]) for it in arr]
         assert all(c <= costs[-1] for c in costs)
