@@ -6,7 +6,12 @@ Two independent implementations so they can cross-check each other:
   the reference semantics (only viable for very small graphs);
 * exact_minimum is a branch-and-bound search: for each target size, branch
   on the most-constrained unsatisfied vertex, including or excluding one of
-  its remaining potential coverers, with sound feasibility pruning.
+  its remaining potential coverers, with sound feasibility pruning.  Its
+  vertex sets are Python-int bitsets: each vertex's providers, the vertices
+  still undecided on the current branch, and the unsatisfied vertices, which
+  are kept in step with the arrival counts as vertices are chosen and
+  unchosen, so a node costs one mask AND and one bit_count per unsatisfied
+  vertex.
 
 Both are deterministic: given the same input they visit candidates in the
 same order and return the same witness, and nodes_explored is reproducible.
@@ -146,6 +151,7 @@ def _validator(g: Graph, mode: Mode, k: int):
 class _Search:
     """Depth-first feasibility search for one (graph, mode, k) instance.
 
+    Vertex sets are Python ints used as bitsets: bit v stands for vertex v.
     State is shared across target sizes; nodes accumulates over the whole
     exact_minimum call.
     """
@@ -158,63 +164,92 @@ class _Search:
         # Choosing u gives one arrival to each neighbor and self_gain(mode, k,
         # 0) to u itself, so v is satisfied iff count[v] >= k.
         self.self_gain = self_gain(mode, k, 0)
-        # providers[v]: the vertices whose choice gives v arrivals, sorted.
-        self.providers = tuple(tuple(sorted(g.closed_neighborhood(v))) for v in range(g.n))
+        # providers[v]: the mask of the vertices whose choice gives v
+        # arrivals, N(v) plus v itself.
+        self.providers = tuple(
+            sum(1 << u for u in g.adjacency[v]) | 1 << v for v in range(g.n)
+        )
 
     def feasible(self, target: int) -> list[int] | None:
         """A satisfying set of size <= target, or None."""
+        everyone = (1 << self.g.n) - 1
         self.chosen: list[int] = []
-        # decided[u]: u is chosen or excluded on the current branch.
-        self.decided = [False] * self.g.n
+        # undecided: the vertices neither chosen nor excluded on the current
+        # branch.  unsat: the vertices with count < k, kept in step with
+        # count by _choose and restored by _unchoose.
+        self.undecided = everyone
+        self.unsat = everyone
         self.count = [0] * self.g.n
         return self._dfs(target)
 
     def _dfs(self, budget: int) -> list[int] | None:
         self.nodes += 1
-        g = self.g
-        k = self.k
-        unsat = [v for v in range(g.n) if self.count[v] < k]
+        unsat = self.unsat
         if not unsat:
             return list(self.chosen)
         if budget == 0:
             return None
-        # Feasibility prune, and pick the most-constrained vertex: the one
-        # with the fewest remaining ways to be satisfied.
-        branch_v = -1
-        branch_avail: list[int] = []
-        for v in unsat:
-            avail = [u for u in self.providers[v] if not self.decided[u]]
-            deficit = k - self.count[v]
+        k = self.k
+        count = self.count
+        providers = self.providers
+        undecided = self.undecided
+        kdom = self.kdom
+        # Feasibility prune, and pick the most-constrained vertex: the first,
+        # in id order, with the fewest remaining ways to be satisfied.
+        fewest = self.g.n + 1
+        branch_avail = 0
+        rest = unsat
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            avail = providers[v] & undecided
+            n_avail = avail.bit_count()
+            deficit = k - count[v]
             # An undecided v under k-domination can settle itself with one
             # pick; every other v needs deficit more picks among avail.
-            settles_itself = self.kdom and not self.decided[v]
-            if not settles_itself and (len(avail) < deficit or deficit > budget):
+            settles_itself = kdom and undecided & bit
+            if not settles_itself and (n_avail < deficit or deficit > budget):
                 return None
-            if branch_v < 0 or len(avail) < len(branch_avail):
-                branch_v, branch_avail = v, avail
-        u = branch_avail[0]
+            if n_avail < fewest:
+                fewest, branch_avail = n_avail, avail
+        # Branch on the lowest id among the branch vertex's undecided
+        # providers; avail is never empty, since an empty avail is pruned
+        # above and an undecided v is its own provider.
+        bit = branch_avail & -branch_avail
+        u = bit.bit_length() - 1
         # Include u.
         self._choose(u)
         found = self._dfs(budget - 1)
-        self._unchoose(u)
+        self._unchoose(u, unsat)
         if found is not None:
             return found
         # Exclude u.
-        self.decided[u] = True
+        self.undecided ^= bit
         found = self._dfs(budget)
-        self.decided[u] = False
+        self.undecided |= bit
         return found
 
     def _choose(self, u: int) -> None:
+        k = self.k
+        count = self.count
+        unsat = self.unsat
         self.chosen.append(u)
-        self.decided[u] = True
-        self.count[u] += self.self_gain
+        self.undecided ^= 1 << u
+        count[u] += self.self_gain
+        if count[u] >= k:
+            unsat &= ~(1 << u)
         for w in self.g.adjacency[u]:
-            self.count[w] += 1
+            count[w] += 1
+            if count[w] >= k:
+                unsat &= ~(1 << w)
+        self.unsat = unsat
 
-    def _unchoose(self, u: int) -> None:
+    def _unchoose(self, u: int, unsat: int) -> None:
+        """Undo _choose(u); unsat is the mask saved before it."""
         self.chosen.pop()
-        self.decided[u] = False
+        self.undecided |= 1 << u
+        self.unsat = unsat
         self.count[u] -= self.self_gain
         for w in self.g.adjacency[u]:
             self.count[w] -= 1

@@ -75,15 +75,6 @@ class Graph:
         self._check_vertex(v)
         return self._nbr_sets[v] | {v}
 
-    def closed_neighborhood_of_set(self, xs: Iterable[int]) -> frozenset[int]:
-        """Union of closed neighborhoods over xs; empty input gives the empty set."""
-        out: set[int] = set()
-        for v in xs:
-            self._check_vertex(v)
-            out.add(v)
-            out.update(self._nbr_sets[v])
-        return frozenset(out)
-
     # -- domination validators ----------------------------------------------
 
     def is_dominating(self, xs: Iterable[int]) -> bool:
@@ -123,12 +114,13 @@ class Graph:
     def fingerprint(self) -> tuple[int, int, str]:
         """(n, m, digest) identifying the graph up to exact adjacency equality."""
         if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(f"n={self.n};m={self.m};".encode())
-            for u, v in self.edges():
-                h.update(f"{u},{v};".encode())
+            # One payload: the header, then "u,v;" for each edge in edges() order.
+            payload = f"n={self.n};m={self.m};" + "".join(
+                [f"{u},{v};" for u, row in enumerate(self.adjacency) for v in row if u < v]
+            )
+            digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
             # Lazy cache; the only mutation after __init__.
-            self._fingerprint = (self.n, self.m, h.hexdigest()[:16])
+            self._fingerprint = (self.n, self.m, digest)
         return self._fingerprint
 
     def __eq__(self, other: object) -> bool:

@@ -46,6 +46,8 @@ CSV_COLUMNS = (
     "skip_reason",
     "greedy_time_s",
     "exact_time_s",
+    "nodes_explored",
+    "greedy_iterations",
 )
 
 

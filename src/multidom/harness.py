@@ -49,10 +49,12 @@ class CorpusEntry:
 class RatioReport:
     """Outcome of one (instance, mode, k) run.
 
-    exact_size, ratio and bound_satisfied are None when the exact solver was
-    skipped (instance over the size cap).  A report with skip_reason set has
-    no numeric results at all: the combination's precondition failed (only
-    k-tuple with k > min_degree + 1 in the default corpus).  ledger_rows
+    exact_size, ratio, bound_satisfied and the exact solver's work counter
+    nodes_explored are None when the exact solver was skipped (instance over
+    the size cap).  greedy_iterations is the length of the greedy trace.  A
+    report with skip_reason set has no numeric results at all: the
+    combination's precondition failed (only k-tuple with k > min_degree + 1
+    in the default corpus).  ledger_rows
     holds (lhs, bound) of the neighborhood bound for every vertex in id
     order; it is not a CSV column.
     """
@@ -76,6 +78,8 @@ class RatioReport:
     skip_reason: str | None = None
     greedy_time_s: float | None = None
     exact_time_s: float | None = None
+    nodes_explored: int | None = None
+    greedy_iterations: int | None = None
     ledger_rows: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def sort_key(self) -> tuple[str, str, int]:
@@ -148,6 +152,7 @@ def verify_instance(
             exact_size=exact.optimum,
             ratio=sol.size / exact.optimum,
             bound_satisfied=sol.size <= bound * exact.optimum * (1 + BOUND_SLACK),
+            nodes_explored=exact.nodes_explored,
         )
     return RatioReport(
         **base,
@@ -156,6 +161,7 @@ def verify_instance(
         ledger_checks_passed=ledger_ok,
         trivial=sol.trivial,
         greedy_time_s=greedy_time,
+        greedy_iterations=len(sol.iterations),
         ledger_rows=tuple(rows),
         **exact_fields,
     )

@@ -1,10 +1,13 @@
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from multidom import (
+    FamilySpec,
     Graph,
     InstanceTooLargeError,
     KOutOfRangeError,
@@ -13,8 +16,10 @@ from multidom import (
     exact_minimum,
     exact_minimum_naive,
     generate,
+    self_gain,
     verify_monotonicity,
 )
+from multidom import exact
 from conftest import graphs
 
 
@@ -118,6 +123,126 @@ def test_exact_matches_pinned_digest():
         solved += 1
         h.update(json.dumps([r.optimum, list(r.witness), r.nodes_explored]).encode() + b"\n")
     assert (solved, h.hexdigest()) == PINNED_EXACT
+
+
+class _ListSearch:
+    """The branch-and-bound search on lists and sorted provider tuples, kept as
+    the reference that the bitset search in exact._Search must reproduce node
+    for node.
+
+    State is shared across target sizes; nodes accumulates over the whole
+    exact_minimum call.
+    """
+
+    def __init__(self, g: Graph, mode: Mode, k: int):
+        self.g = g
+        self.k = k
+        self.kdom = mode is Mode.KDOM
+        self.nodes = 0
+        # Choosing u gives one arrival to each neighbor and self_gain(mode, k,
+        # 0) to u itself, so v is satisfied iff count[v] >= k.
+        self.self_gain = self_gain(mode, k, 0)
+        # providers[v]: the vertices whose choice gives v arrivals, sorted.
+        self.providers = tuple(tuple(sorted(g.closed_neighborhood(v))) for v in range(g.n))
+
+    def feasible(self, target: int) -> list[int] | None:
+        """A satisfying set of size <= target, or None."""
+        self.chosen: list[int] = []
+        # decided[u]: u is chosen or excluded on the current branch.
+        self.decided = [False] * self.g.n
+        self.count = [0] * self.g.n
+        return self._dfs(target)
+
+    def _dfs(self, budget: int) -> list[int] | None:
+        self.nodes += 1
+        g = self.g
+        k = self.k
+        unsat = [v for v in range(g.n) if self.count[v] < k]
+        if not unsat:
+            return list(self.chosen)
+        if budget == 0:
+            return None
+        # Feasibility prune, and pick the most-constrained vertex: the one
+        # with the fewest remaining ways to be satisfied.
+        branch_v = -1
+        branch_avail: list[int] = []
+        for v in unsat:
+            avail = [u for u in self.providers[v] if not self.decided[u]]
+            deficit = k - self.count[v]
+            # An undecided v under k-domination can settle itself with one
+            # pick; every other v needs deficit more picks among avail.
+            settles_itself = self.kdom and not self.decided[v]
+            if not settles_itself and (len(avail) < deficit or deficit > budget):
+                return None
+            if branch_v < 0 or len(avail) < len(branch_avail):
+                branch_v, branch_avail = v, avail
+        u = branch_avail[0]
+        # Include u.
+        self._choose(u)
+        found = self._dfs(budget - 1)
+        self._unchoose(u)
+        if found is not None:
+            return found
+        # Exclude u.
+        self.decided[u] = True
+        found = self._dfs(budget)
+        self.decided[u] = False
+        return found
+
+    def _choose(self, u: int) -> None:
+        self.chosen.append(u)
+        self.decided[u] = True
+        self.count[u] += self.self_gain
+        for w in self.g.adjacency[u]:
+            self.count[w] += 1
+
+    def _unchoose(self, u: int) -> None:
+        self.chosen.pop()
+        self.decided[u] = False
+        self.count[u] -= self.self_gain
+        for w in self.g.adjacency[u]:
+            self.count[w] -= 1
+
+
+def _list_minimum(g, mode, k, **kw):
+    """exact_minimum with its target loop driving _ListSearch."""
+    with mock.patch.object(exact, "_Search", _ListSearch):
+        return exact_minimum(g, mode, k, **kw)
+
+
+def _outcome(r):
+    return (r.optimum, r.witness, r.nodes_explored)
+
+
+def _admissible(g):
+    """Every (mode, k) with k in 1..4 that the exact oracle accepts on g."""
+    yield Mode.DOM, 1
+    for k in range(1, 5):
+        if k <= g.min_degree() + 1:
+            yield Mode.KTUPLE, k
+        yield Mode.KDOM, k
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 16),
+    st.sampled_from((0.1, 0.2, 0.3, 0.5, 0.7, 0.9)),
+    st.integers(0, 2**32),
+)
+def test_bitset_search_matches_list_search(n, p, seed):
+    g = generate(FamilySpec("erdos_renyi", n=n, p=p, seed=seed))
+    for mode, k in _admissible(g):
+        assert _outcome(exact_minimum(g, mode, k)) == _outcome(_list_minimum(g, mode, k))
+
+
+def test_bitset_search_matches_list_search_at_the_caps():
+    g = generate(FamilySpec("erdos_renyi", n=24, p=0.35, seed=1))
+    for mode, k in _admissible(g):
+        assert _outcome(exact_minimum(g, mode, k)) == _outcome(_list_minimum(g, mode, k))
+    big = Graph(30, [(i, i + 1) for i in range(29)])
+    assert _outcome(exact_minimum(big, Mode.DOM, 1, max_n=30)) == _outcome(
+        _list_minimum(big, Mode.DOM, 1, max_n=30)
+    )
 
 
 def test_monotonicity_known():

@@ -44,12 +44,8 @@ def test_neighborhoods():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert g.neighbors(1) == {0, 2}
     assert g.closed_neighborhood(1) == {0, 1, 2}
-    assert g.closed_neighborhood_of_set([0, 1]) == {0, 1, 2, 3}
-    assert g.closed_neighborhood_of_set([]) == frozenset()
     with pytest.raises(GraphError):
         g.neighbors(4)
-    with pytest.raises(GraphError):
-        g.closed_neighborhood_of_set([0, 9])
 
 
 def test_validators_on_known_sets():
@@ -100,20 +96,6 @@ def test_ktuple_implies_k_dominating(g, k):
             assert g.is_k_dominating(k, cand)
 
 
-@given(graphs())
-def test_closed_neighborhood_of_set_monotone(g):
-    small = frozenset(range(0, g.n, 3))
-    large = small | frozenset(range(0, g.n, 2))
-    assert g.closed_neighborhood_of_set(small) <= g.closed_neighborhood_of_set(large)
-
-
-@given(graphs())
-def test_closed_neighborhood_union(g):
-    xs = frozenset(range(0, g.n, 2))
-    expect = frozenset().union(*(g.closed_neighborhood(v) for v in xs)) if xs else frozenset()
-    assert g.closed_neighborhood_of_set(xs) == expect
-
-
 def test_fingerprint_and_equality():
     g1 = Graph(4, [(0, 1), (2, 3)])
     g2 = Graph(4, [(2, 3), (0, 1)])
@@ -126,3 +108,6 @@ def test_fingerprint_and_equality():
     n, m, digest = g1.fingerprint()
     assert (n, m) == (4, 2)
     assert len(digest) == 16
+    # Pinned: saved traces carry this digest, so its format must not drift.
+    assert digest == "ad2ff02e2d0e9c61"
+    assert Graph(1).fingerprint() == (1, 0, "22aacb9a12e5d042")

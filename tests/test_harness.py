@@ -16,6 +16,8 @@ from multidom import (
     run_entry,
     summarize,
     approximation_bound,
+    exact_minimum,
+    solve,
     verify_instance,
 )
 
@@ -44,6 +46,8 @@ def test_verify_instance_star_kdom():
     assert report.ledger_checks_passed is True
     assert report.skip_reason is None
     assert not report.trivial
+    assert report.greedy_iterations == len(solve(g, Mode.KDOM, 2).iterations) == 7
+    assert report.nodes_explored == exact_minimum(g, Mode.KDOM, 2).nodes_explored
 
 
 def test_verify_instance_path_dom():
@@ -73,6 +77,8 @@ def test_verify_instance_skip():
     assert report.greedy_size is None
     assert report.ratio is None
     assert report.bound_satisfied is None
+    assert report.greedy_iterations is None
+    assert report.nodes_explored is None
 
 
 def test_verify_instance_trivial_flag():
@@ -92,6 +98,8 @@ def test_verify_instance_respects_size_cap():
     assert report.exact_size is None
     assert report.ratio is None
     assert report.bound_satisfied is None
+    assert report.nodes_explored is None
+    assert report.greedy_iterations == 4
     assert report.ledger_checks_passed is True
 
 

@@ -146,7 +146,7 @@ def _sample_reports():
     full = RatioReport(
         **base, greedy_size=3, exact_size=3, ratio=1.0, bound=2.0986122886681098,
         bound_satisfied=True, ledger_checks_passed=True,
-        greedy_time_s=0.001, exact_time_s=0.002,
+        greedy_time_s=0.001, exact_time_s=0.002, nodes_explored=5, greedy_iterations=3,
     )
     skip = RatioReport(
         instance_id="star-n8", family="star", seed=None, n=8, m=7,
@@ -168,10 +168,13 @@ def test_csv_golden():
     assert full["bound_satisfied"] == "true"
     assert full["trivial"] == "false"
     assert full["seed"] == ""
+    assert (full["nodes_explored"], full["greedy_iterations"]) == ("5", "3")
+    assert CSV_COLUMNS[-3:] == ("exact_time_s", "nodes_explored", "greedy_iterations")
     skip = dict(zip(CSV_COLUMNS, rows[2]))
     assert skip["skip_reason"] == "k out of range"
     assert skip["greedy_size"] == ""
     assert skip["ratio"] == ""
+    assert (skip["nodes_explored"], skip["greedy_iterations"]) == ("", "")
 
 
 def test_csv_empty_reports_is_header_only():
@@ -186,5 +189,8 @@ def test_json_report():
     assert docs[0]["ratio"] == 1.0
     assert docs[1]["skip_reason"] == "k out of range"
     assert docs[1]["greedy_size"] is None
+    assert (docs[0]["nodes_explored"], docs[0]["greedy_iterations"]) == (5, 3)
+    assert docs[1]["nodes_explored"] is None
+    assert list(docs[0])[-3:] == ["exact_time_s", "nodes_explored", "greedy_iterations"]
     assert set(docs[0]) == set(CSV_COLUMNS)
     assert report_to_dict(_sample_reports()[0])["bound_satisfied"] is True
