@@ -58,7 +58,7 @@ def exact_minimum_naive(g: Graph, mode: Mode, k: int = 1, *, max_n: int = NAIVE_
     for size in range(g.n + 1):
         for comb in itertools.combinations(range(g.n), size):
             nodes += 1
-            if validator(frozenset(comb)):
+            if validator(comb):
                 return ExactResult(
                     mode=mode,
                     k=k,

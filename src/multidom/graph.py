@@ -1,13 +1,14 @@
 """Immutable undirected graphs on vertex ids 0..n-1, plus domination validators.
 
-Vertices are plain ints.  Vertex sets are ordinary Python sets/frozensets;
-whenever iteration order matters downstream (tie-breaking, output), callers
-sort, so nothing here depends on set ordering.
+Vertices are plain ints.  A graph's only neighbourhood state is adjacency, one
+ascending tuple of neighbour ids per vertex; neighbors() and
+closed_neighborhood() build their frozensets from it when called.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import compress
 from typing import Iterable, Iterator
 
 
@@ -18,11 +19,12 @@ class GraphError(ValueError):
 class Graph:
     """Undirected simple graph with a fixed vertex range 0..n-1.
 
-    Self-loops are rejected, duplicate edges collapse to one.  Instances are
-    immutable after construction and safe to share across threads/processes.
+    adjacency[v] is the ascending tuple of v's neighbours.  Self-loops are
+    rejected, duplicate edges collapse to one.  Instances are immutable after
+    construction and safe to share across threads/processes.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_nbr_sets", "_fingerprint")
+    __slots__ = ("n", "m", "adjacency", "_fingerprint")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n <= 0:
@@ -40,7 +42,6 @@ class Graph:
             tuple(sorted(s)) for s in nbrs
         )
         self.m = sum(len(s) for s in nbrs) // 2
-        self._nbr_sets: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in nbrs)
         self._fingerprint: tuple[int, int, str] | None = None
 
     # -- basic queries ------------------------------------------------------
@@ -68,19 +69,19 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood: the set of vertices adjacent to v."""
         self._check_vertex(v)
-        return self._nbr_sets[v]
+        return frozenset(self.adjacency[v])
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         """Closed neighborhood: v together with its neighbors."""
         self._check_vertex(v)
-        return self._nbr_sets[v] | {v}
+        return frozenset((v, *self.adjacency[v]))
 
     # -- domination validators ----------------------------------------------
 
     def is_dominating(self, xs: Iterable[int]) -> bool:
         """True iff every vertex is in xs or adjacent to a member of xs."""
-        xset = self._as_vertex_set(xs)
-        return all(v in xset or self._nbr_sets[v] & xset for v in range(self.n))
+        mark, count = self._chosen_counts(xs)
+        return all(mark[v] or count[v] for v in range(self.n))
 
     def is_k_dominating(self, k: int, xs: Iterable[int]) -> bool:
         """True iff every vertex outside xs has at least k neighbors in xs.
@@ -89,10 +90,8 @@ class Graph:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        xset = self._as_vertex_set(xs)
-        return all(
-            v in xset or len(self._nbr_sets[v] & xset) >= k for v in range(self.n)
-        )
+        mark, count = self._chosen_counts(xs)
+        return all(mark[v] or count[v] >= k for v in range(self.n))
 
     def is_ktuple_dominating(self, k: int, xs: Iterable[int]) -> bool:
         """True iff every vertex has at least k of its closed neighborhood in xs.
@@ -103,11 +102,8 @@ class Graph:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        xset = self._as_vertex_set(xs)
-        return all(
-            len(self._nbr_sets[v] & xset) + (1 if v in xset else 0) >= k
-            for v in range(self.n)
-        )
+        mark, count = self._chosen_counts(xs)
+        return all(count[v] + mark[v] >= k for v in range(self.n))
 
     # -- identity ------------------------------------------------------------
 
@@ -140,8 +136,14 @@ class Graph:
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
 
-    def _as_vertex_set(self, xs: Iterable[int]) -> frozenset[int]:
-        xset = frozenset(xs)
-        for v in xset:
-            self._check_vertex(v)
-        return xset
+    def _chosen_counts(self, xs: Iterable[int]) -> tuple[bytearray, list[int]]:
+        """mark[v] = 1 iff v is in xs, and count[v] = #neighbors of v in xs: O(n + m)."""
+        mark = bytearray(self.n)
+        for x in xs:
+            self._check_vertex(x)
+            mark[x] = 1
+        count = [0] * self.n
+        for row in compress(self.adjacency, mark):
+            for u in row:
+                count[u] += 1
+        return mark, count

@@ -292,7 +292,7 @@ def gap_witness_check(g: Graph, k: int) -> GapWitnessCheck:
     """Replay the first two k-tuple selections and test the score gap."""
     if k < 2:
         raise ValueError(f"the gap scenario needs k >= 2, got {k}")
-    sizes = [len(g.closed_neighborhood(v)) for v in range(g.n)]
+    sizes = [len(row) + 1 for row in g.adjacency]
     first = max(range(g.n), key=lambda v: (sizes[v], -v))
     unique = sum(1 for s in sizes if s == sizes[first]) == 1
     # With k >= 2 a single selection fully covers nothing, so every

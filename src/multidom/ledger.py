@@ -26,7 +26,7 @@ comparing harmonic numbers against logarithms.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -105,10 +105,6 @@ class CostLedger:
     arrivals: tuple[tuple[int, ...], ...]
     joined: tuple[int, ...]
 
-    def join_iteration(self, v: int) -> int | None:
-        """Iteration at which v was selected, or None."""
-        return self.joined[v] if self.joined[v] <= len(self.chosen) else None
-
     def covered_at(self, v: int) -> int:
         """Iteration at which v's requirement became fully satisfied."""
         return self.arrivals[v][-1]
@@ -120,9 +116,13 @@ class CostLedger:
         that iteration's score; otherwise w is charged the default: one
         share of the iteration that completed v's coverage.  Choosing w
         gives v an arrival exactly when v is still uncovered, so both cases
-        are one share of iteration min(joined[w], covered_at(v)).
+        are one share of iteration min(joined[w], covered_at(v)).  Raises
+        ValueError when v is outside 0..n-1 or w is not in N[v].
         """
-        if w != v and w not in self.graph.neighbors(v):
+        self.graph._check_vertex(v)
+        row = self.graph.adjacency[v]
+        i = bisect_left(row, w)
+        if w != v and (i == len(row) or row[i] != w):
             raise ValueError(f"vertex {w} is not in the closed neighborhood of {v}")
         return Fraction(1, self.scores[min(self.joined[w], self.covered_at(v)) - 1])
 
@@ -140,6 +140,7 @@ class CostLedger:
         neighbors not yet covered after iteration i, plus w's self-gain
         while w itself is uncovered.  The sequence stops at the first zero.
         """
+        self.graph._check_vertex(w)
         nbrs = self.graph.adjacency[w]
         join_w = self.joined[w]
         r: list[int] = []
@@ -270,7 +271,8 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Frac
     H(deg(w) + 1), or H(deg(w) + k) for k-domination.
     """
     g = ledger.graph
-    lhs = sum((ledger.cost(v, w) for v in g.neighbors(w)), Fraction(0))
+    g._check_vertex(w)
+    lhs = sum((ledger.cost(v, w) for v in g.adjacency[w]), Fraction(0))
     lhs += ledger.own_cost_sum(w) if ledger.mode is Mode.KDOM else ledger.cost(w, w)
     return lhs, harmonic(g.degree(w) + self_gain(ledger.mode, ledger.k, 0))
 

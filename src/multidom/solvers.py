@@ -262,12 +262,11 @@ def verify_greedy_optimality(g: Graph, sol: Solution) -> bool:
         for v in range(n):
             if v in chosen_set:
                 continue
+            s = sum(1 for u in g.adjacency[v] if u not in covered)
             if sol.mode is Mode.KDOM:
-                s = max(sol.k - nbrs_chosen[v], 0) + _count_outside(
-                    g.neighbors(v), covered
-                )
-            else:
-                s = _count_outside(g.closed_neighborhood(v), covered)
+                s += max(sol.k - nbrs_chosen[v], 0)
+            elif v not in covered:
+                s += 1
             if s > best_score:
                 best, best_score = v, s
         if rec.vertex != best or rec.score != best_score:
@@ -275,9 +274,9 @@ def verify_greedy_optimality(g: Graph, sol: Solution) -> bool:
         # Apply the step.
         chosen_set.add(rec.vertex)
         if sol.mode is Mode.DOM:
-            covered.update(g.closed_neighborhood(rec.vertex))
+            covered.update((rec.vertex, *g.adjacency[rec.vertex]))
         elif sol.mode is Mode.KTUPLE:
-            for u in g.closed_neighborhood(rec.vertex):
+            for u in (rec.vertex, *g.adjacency[rec.vertex]):
                 hits[u] += 1
                 if hits[u] >= sol.k:
                     covered.add(u)
@@ -290,7 +289,3 @@ def verify_greedy_optimality(g: Graph, sol: Solution) -> bool:
         if rec.covered_after != len(covered):
             return False
     return len(covered) == n and tuple(sorted(chosen_set)) == tuple(sorted(sol.chosen))
-
-
-def _count_outside(candidates: frozenset[int], covered: set[int]) -> int:
-    return sum(1 for u in candidates if u not in covered)

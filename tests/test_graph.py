@@ -3,7 +3,29 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from multidom import Graph, GraphError
-from conftest import graphs
+from conftest import graphs, vertex_subsets
+
+
+# Reference: the frozenset-based validators that the adjacency scan replaced.
+def _ref_closed(g, v):
+    return frozenset(g.adjacency[v]) | {v}
+
+
+def _ref_is_dominating(g, xset):
+    return all(v in xset or frozenset(g.adjacency[v]) & xset for v in range(g.n))
+
+
+def _ref_is_k_dominating(g, k, xset):
+    return all(
+        v in xset or len(frozenset(g.adjacency[v]) & xset) >= k for v in range(g.n)
+    )
+
+
+def _ref_is_ktuple_dominating(g, k, xset):
+    return all(
+        len(frozenset(g.adjacency[v]) & xset) + (1 if v in xset else 0) >= k
+        for v in range(g.n)
+    )
 
 
 def test_basic_counts():
@@ -86,6 +108,19 @@ def test_k1_validators_agree(g):
     xs = frozenset(range(0, g.n, 2))
     assert g.is_k_dominating(1, xs) == g.is_dominating(xs)
     assert g.is_ktuple_dominating(1, xs) == g.is_dominating(xs)
+
+
+@given(st.data(), graphs(), st.integers(1, 4))
+def test_validators_match_frozenset_reference(data, g, k):
+    xset = data.draw(vertex_subsets(g))
+    # Duplicates and order in xs must not matter.
+    xs = sorted(xset, reverse=True) * 2
+    assert g.is_dominating(xs) == _ref_is_dominating(g, xset)
+    assert g.is_k_dominating(k, xs) == _ref_is_k_dominating(g, k, xset)
+    assert g.is_ktuple_dominating(k, xs) == _ref_is_ktuple_dominating(g, k, xset)
+    for v in range(g.n):
+        assert g.neighbors(v) == frozenset(g.adjacency[v])
+        assert g.closed_neighborhood(v) == _ref_closed(g, v)
 
 
 @given(graphs(), st.integers(1, 3))

@@ -257,6 +257,18 @@ def test_cost_domain_checked():
     led = build_ledger(g, greedy_dominating_set(g))
     with pytest.raises(ValueError):
         led.cost(0, 3)  # not adjacent
+    # Vertex ids outside 0..n-1 raise instead of indexing from the end.
+    for v in (-1, -4, 4):
+        with pytest.raises(ValueError):
+            led.cost(v, v)
+        with pytest.raises(ValueError):
+            led.residual_sequence(v)
+        with pytest.raises(ValueError):
+            check_neighborhood_bound(led, v)
+        with pytest.raises(ValueError):
+            check_residual_decomposition(led, v, Fraction(0))
+    with pytest.raises(ValueError):
+        led.cost(3, -1)  # w = -1 is no neighbour of 3, whatever it would index
 
 
 def test_subset_bound_preconditions():
