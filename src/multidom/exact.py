@@ -6,12 +6,12 @@ Two independent implementations so they can cross-check each other:
   the reference semantics (only viable for very small graphs);
 * exact_minimum is a branch-and-bound search: for each target size, branch
   on the most-constrained unsatisfied vertex, including or excluding one of
-  its remaining potential coverers, with sound feasibility pruning.  Its
-  vertex sets are Python-int bitsets: each vertex's providers, the vertices
-  still undecided on the current branch, and the unsatisfied vertices, which
-  are kept in step with the arrival counts as vertices are chosen and
-  unchosen, so a node costs one mask AND and one bit_count per unsatisfied
-  vertex.
+  its remaining potential coverers, with sound feasibility and counting
+  pruning.  Its vertex sets are Python-int bitsets: each vertex's providers,
+  the vertices still undecided on the current branch, and the unsatisfied
+  vertices, which are kept in step with the arrival counts as vertices are
+  chosen and unchosen, so a node costs one mask AND and one bit_count per
+  unsatisfied vertex.
 
 Both are deterministic: given the same input they visit candidates in the
 same order and return the same witness, and nodes_explored is reproducible.
@@ -20,7 +20,6 @@ same order and return the same witness, and nodes_explored is reproducible.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
@@ -73,10 +72,15 @@ def exact_minimum_naive(g: Graph, mode: Mode, k: int = 1, *, max_n: int = NAIVE_
 def exact_minimum(g: Graph, mode: Mode, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> ExactResult:
     """Minimum by branch and bound, trying target sizes from a lower bound up.
 
-    Lower bounds: ceil(n / (max_degree + 1)) for plain domination (one chosen
-    vertex satisfies at most max_degree + 1 vertices), k for k-tuple
-    domination (every closed neighborhood needs k chosen members), and 1 for
-    k-domination.
+    Counting bound: a solution needs n * k useful arrivals (arrivals beyond k
+    at one vertex are useless), and one chosen vertex gives at most
+    max_degree + self_gain(mode, k, 0) of them, one to each neighbor and its
+    self-gain to itself.  So the target loop starts at
+    ceil(n * k / (max_degree + self_gain)), and the search prunes a branch
+    whose open deficit, the sum of k - count over the unsatisfied vertices,
+    exceeds its remaining budget times max_degree + self_gain.  Both cuts
+    drop only target sizes and branches that hold no solution, so the
+    optimum and the witness are those of the search without them.
     """
     _check_instance(g, mode, k, max_n)
     start = time.perf_counter()
@@ -91,13 +95,8 @@ def exact_minimum(g: Graph, mode: Mode, k: int = 1, *, max_n: int = DEFAULT_MAX_
             nodes_explored=0,
             time_s=time.perf_counter() - start,
         )
-    if mode is Mode.DOM:
-        lower = math.ceil(g.n / (g.max_degree() + 1))
-    elif mode is Mode.KTUPLE:
-        lower = k
-    else:
-        lower = 1
     searcher = _Search(g, mode, k)
+    lower = -(-g.n * k // searcher.pick_gain)
     for target in range(lower, g.n + 1):
         witness = searcher.feasible(target)
         if witness is not None:
@@ -164,6 +163,10 @@ class _Search:
         # Choosing u gives one arrival to each neighbor and self_gain(mode, k,
         # 0) to u itself, so v is satisfied iff count[v] >= k.
         self.self_gain = self_gain(mode, k, 0)
+        # The most arrivals one pick can give towards the count[v] >= k
+        # goals: one to each of at most max_degree neighbors and self_gain to
+        # itself.
+        self.pick_gain = g.max_degree() + self.self_gain
         # providers[v]: the mask of the vertices whose choice gives v
         # arrivals, N(v) plus v itself.
         self.providers = tuple(
@@ -198,6 +201,7 @@ class _Search:
         # in id order, with the fewest remaining ways to be satisfied.
         fewest = self.g.n + 1
         branch_avail = 0
+        open_deficit = 0
         rest = unsat
         while rest:
             bit = rest & -rest
@@ -206,6 +210,7 @@ class _Search:
             avail = providers[v] & undecided
             n_avail = avail.bit_count()
             deficit = k - count[v]
+            open_deficit += deficit
             # An undecided v under k-domination can settle itself with one
             # pick; every other v needs deficit more picks among avail.
             settles_itself = kdom and undecided & bit
@@ -213,6 +218,10 @@ class _Search:
                 return None
             if n_avail < fewest:
                 fewest, branch_avail = n_avail, avail
+        # Counting prune: budget more picks close at most budget * pick_gain
+        # of the open deficit.
+        if open_deficit > budget * self.pick_gain:
+            return None
         # Branch on the lowest id among the branch vertex's undecided
         # providers; avail is never empty, since an empty avail is pruned
         # above and an undecided v is its own provider.

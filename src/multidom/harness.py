@@ -200,8 +200,11 @@ def default_corpus() -> list[CorpusEntry]:
     return entries
 
 
-def run_entry(entry: CorpusEntry, *, max_n: int = DEFAULT_MAX_N) -> RatioReport:
-    g = generate(entry.spec)
+def run_entry(
+    entry: CorpusEntry, *, max_n: int = DEFAULT_MAX_N, graph: Graph | None = None
+) -> RatioReport:
+    """Verify one corpus entry on graph, generated from entry.spec if None."""
+    g = generate(entry.spec) if graph is None else graph
     return verify_instance(g, entry.mode, entry.k, spec=entry.spec, max_n=max_n)
 
 
@@ -213,24 +216,31 @@ def run_corpus(
 ) -> list[RatioReport]:
     """Run every corpus entry and return reports in canonical order.
 
-    Canonical order is (instance_id, mode, k) regardless of jobs, so output
-    is reproducible whether or not the run was parallel.
+    Entries that share a spec share one generated graph.  Canonical order is
+    (instance_id, mode, k) regardless of jobs, so output is reproducible
+    whether or not the run was parallel.
     """
     if entries is None:
         entries = default_corpus()
     if not entries:
         raise ValueError("corpus is empty")
+    by_spec: dict[FamilySpec, list[CorpusEntry]] = {}
+    for e in entries:
+        by_spec.setdefault(e.spec, []).append(e)
+    groups = [(group, max_n) for group in by_spec.values()]
     if jobs <= 1:
-        reports = [run_entry(e, max_n=max_n) for e in entries]
+        results = map(_run_spec, groups)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_entry_capped, ((e, max_n) for e in entries)))
-    return sorted(reports, key=RatioReport.sort_key)
+            results = list(pool.map(_run_spec, groups))
+    return sorted((r for reports in results for r in reports), key=RatioReport.sort_key)
 
 
-def _run_entry_capped(arg: tuple[CorpusEntry, int]) -> RatioReport:
-    entry, max_n = arg
-    return run_entry(entry, max_n=max_n)
+def _run_spec(arg: tuple[list[CorpusEntry], int]) -> list[RatioReport]:
+    """Run entries that share one spec on one generated graph."""
+    entries, max_n = arg
+    g = generate(entries[0].spec)
+    return [run_entry(e, max_n=max_n, graph=g) for e in entries]
 
 
 def summarize(reports: list[RatioReport]) -> CorpusSummary:
@@ -292,6 +302,8 @@ def gap_witness_check(g: Graph, k: int) -> GapWitnessCheck:
     """Replay the first two k-tuple selections and test the score gap."""
     if k < 2:
         raise ValueError(f"the gap scenario needs k >= 2, got {k}")
+    if g.n < 2:
+        raise ValueError(f"the gap scenario needs at least 2 vertices, got n={g.n}")
     sizes = [len(row) + 1 for row in g.adjacency]
     first = max(range(g.n), key=lambda v: (sizes[v], -v))
     unique = sum(1 for s in sizes if s == sizes[first]) == 1

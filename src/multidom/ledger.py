@@ -106,7 +106,14 @@ class CostLedger:
     joined: tuple[int, ...]
 
     def covered_at(self, v: int) -> int:
-        """Iteration at which v's requirement became fully satisfied."""
+        """Iteration at which v's requirement became fully satisfied.
+
+        Raises GraphError when v is outside 0..n-1."""
+        self.graph._check_vertex(v)
+        return self._covered_at(v)
+
+    def _covered_at(self, v: int) -> int:
+        """covered_at without the range check, for callers that checked v."""
         return self.arrivals[v][-1]
 
     def cost(self, v: int, w: int) -> Fraction:
@@ -124,10 +131,13 @@ class CostLedger:
         i = bisect_left(row, w)
         if w != v and (i == len(row) or row[i] != w):
             raise ValueError(f"vertex {w} is not in the closed neighborhood of {v}")
-        return Fraction(1, self.scores[min(self.joined[w], self.covered_at(v)) - 1])
+        return Fraction(1, self.scores[min(self.joined[w], self._covered_at(v)) - 1])
 
     def own_cost_sum(self, v: int) -> Fraction:
-        """Total charged for v's own coverage: one share per arrival event."""
+        """Total charged for v's own coverage: one share per arrival event.
+
+        Raises GraphError when v is outside 0..n-1."""
+        self.graph._check_vertex(v)
         return sum(
             (Fraction(1, self.scores[it - 1]) for it in self.arrivals[v]),
             Fraction(0),
@@ -148,8 +158,8 @@ class CostLedger:
         while True:
             val = 0
             if join_w > i:
-                val = sum(1 for u in nbrs if self.covered_at(u) > i)
-                if self.covered_at(w) > i:
+                val = sum(1 for u in nbrs if self._covered_at(u) > i)
+                if self._covered_at(w) > i:
                     val += self_gain(self.mode, self.k, bisect_right(self.arrivals[w], i))
             r.append(val)
             if val == 0:
@@ -236,10 +246,16 @@ def check_sum_identity(ledger: CostLedger) -> Fraction:
     """Total of all per-vertex coverage charges; equals len(chosen) exactly.
 
     Each iteration splits one unit of cost over its arrival events, so the
-    grand total counts one unit per chosen vertex.
+    grand total counts one unit per chosen vertex.  The arrivals are counted
+    per iteration first, so the total takes one Fraction per iteration,
+    count_i / score_i, instead of one per arrival.
     """
+    counts = [0] * len(ledger.scores)
+    for its in ledger.arrivals:
+        for it in its:
+            counts[it - 1] += 1
     return sum(
-        (ledger.own_cost_sum(v) for v in range(ledger.graph.n)),
+        (Fraction(c, s) for c, s in zip(counts, ledger.scores)),
         Fraction(0),
     )
 

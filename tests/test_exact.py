@@ -105,15 +105,19 @@ def test_nodes_explored_reproducible():
     assert a.witness == b.witness
 
 
-# Recorded from the search before its provider lists were stored sorted and
-# its chosen/excluded flags were merged: one sha256 over the optimum, the
-# witness and nodes_explored of every solvable default-corpus run (72651
-# nodes in total).
-PINNED_EXACT = (681, "cff4a8a086b8a5e5e13ddc135573bcc685da9055157d17f882c193c9d398891c")
+# One sha256 over the optimum, the witness and nodes_explored of every
+# solvable default-corpus run (43088 nodes in total), recorded when the
+# counting bound and prune went in; the search tree before them had 72651
+# nodes.
+PINNED_EXACT = (681, "ebb5feae86225ca56a2d17af6678f3b5c2831d5d9034f7b6bf7de8097ab5adb3")
+# The same runs' optimum and witness alone, recorded from the search before
+# the counting bound and prune: the cuts may only shrink the search tree.
+PINNED_EXACT_WITNESSES = (681, "73415faa4913f6b09c3b19b1026db5d68673c010f6cc2375e8921e868767b842")
 
 
 def test_exact_matches_pinned_digest():
-    h = hashlib.sha256()
+    full = hashlib.sha256()
+    witnesses = hashlib.sha256()
     solved = 0
     for e in default_corpus():
         try:
@@ -121,8 +125,10 @@ def test_exact_matches_pinned_digest():
         except KOutOfRangeError:
             continue
         solved += 1
-        h.update(json.dumps([r.optimum, list(r.witness), r.nodes_explored]).encode() + b"\n")
-    assert (solved, h.hexdigest()) == PINNED_EXACT
+        full.update(json.dumps([r.optimum, list(r.witness), r.nodes_explored]).encode() + b"\n")
+        witnesses.update(json.dumps([r.optimum, list(r.witness)]).encode() + b"\n")
+    assert (solved, full.hexdigest()) == PINNED_EXACT
+    assert (solved, witnesses.hexdigest()) == PINNED_EXACT_WITNESSES
 
 
 class _ListSearch:
@@ -131,8 +137,10 @@ class _ListSearch:
     for node.
 
     State is shared across target sizes; nodes accumulates over the whole
-    exact_minimum call.
+    exact_minimum call.  counting_prune turns the open-deficit prune on.
     """
+
+    counting_prune = True
 
     def __init__(self, g: Graph, mode: Mode, k: int):
         self.g = g
@@ -142,6 +150,7 @@ class _ListSearch:
         # Choosing u gives one arrival to each neighbor and self_gain(mode, k,
         # 0) to u itself, so v is satisfied iff count[v] >= k.
         self.self_gain = self_gain(mode, k, 0)
+        self.pick_gain = g.max_degree() + self.self_gain
         # providers[v]: the vertices whose choice gives v arrivals, sorted.
         self.providers = tuple(tuple(sorted(g.closed_neighborhood(v))) for v in range(g.n))
 
@@ -176,6 +185,9 @@ class _ListSearch:
                 return None
             if branch_v < 0 or len(avail) < len(branch_avail):
                 branch_v, branch_avail = v, avail
+        open_deficit = sum(k - self.count[v] for v in unsat)
+        if self.counting_prune and open_deficit > budget * self.pick_gain:
+            return None
         u = branch_avail[0]
         # Include u.
         self._choose(u)
@@ -204,10 +216,51 @@ class _ListSearch:
             self.count[w] -= 1
 
 
+class _UnprunedListSearch(_ListSearch):
+    """The search as it was before the counting prune."""
+
+    counting_prune = False
+
+
 def _list_minimum(g, mode, k, **kw):
     """exact_minimum with its target loop driving _ListSearch."""
     with mock.patch.object(exact, "_Search", _ListSearch):
         return exact_minimum(g, mode, k, **kw)
+
+
+def _unpruned_minimum(g, mode, k):
+    """(optimum, witness, nodes_explored) of the oracle before the counting
+    bound: its target loop starts at ceil(n / (max_degree + 1)) for
+    domination, k for k-tuple and 1 for k-domination, and its search has no
+    counting prune."""
+    if mode is Mode.KDOM and k > g.max_degree():
+        return g.n, tuple(range(g.n)), 0
+    if mode is Mode.DOM:
+        lower = -(-g.n // (g.max_degree() + 1))
+    elif mode is Mode.KTUPLE:
+        lower = k
+    else:
+        lower = 1
+    searcher = _UnprunedListSearch(g, mode, k)
+    for target in range(lower, g.n + 1):
+        witness = searcher.feasible(target)
+        if witness is not None:
+            return len(witness), tuple(sorted(witness)), searcher.nodes
+    raise AssertionError("unreachable: the full vertex set always satisfies the validator")
+
+
+def _start_target(g, mode, k):
+    """The first target size exact_minimum tries, or None if it tries none."""
+    targets = []
+    feasible = exact._Search.feasible
+
+    def recording(self, target):
+        targets.append(target)
+        return feasible(self, target)
+
+    with mock.patch.object(exact._Search, "feasible", recording):
+        exact_minimum(g, mode, k)
+    return targets[0] if targets else None
 
 
 def _outcome(r):
@@ -243,6 +296,30 @@ def test_bitset_search_matches_list_search_at_the_caps():
     assert _outcome(exact_minimum(big, Mode.DOM, 1, max_n=30)) == _outcome(
         _list_minimum(big, Mode.DOM, 1, max_n=30)
     )
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 16),
+    st.sampled_from((0.1, 0.2, 0.3, 0.5, 0.7, 0.9)),
+    st.integers(0, 2**32),
+)
+def test_counting_cuts_keep_optimum_and_witness(n, p, seed):
+    g = generate(FamilySpec("erdos_renyi", n=n, p=p, seed=seed))
+    for mode, k in _admissible(g):
+        r = exact_minimum(g, mode, k)
+        optimum, witness, nodes = _unpruned_minimum(g, mode, k)
+        assert (r.optimum, r.witness) == (optimum, witness)
+        assert r.nodes_explored <= nodes
+
+
+@settings(deadline=None, max_examples=100)
+@given(graphs(max_n=8))
+def test_start_target_is_a_lower_bound(g):
+    for mode, k in _admissible(g):
+        start = _start_target(g, mode, k)
+        if start is not None:
+            assert start <= exact_minimum_naive(g, mode, k).optimum
 
 
 def test_monotonicity_known():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from multidom import (
     CorpusEntry,
     FamilySpec,
     Graph,
+    GraphError,
     Mode,
     RatioReport,
     check_ratio_improvement,
@@ -155,6 +157,22 @@ def test_run_corpus_parallel_matches_serial():
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
 
+def test_run_corpus_generates_each_spec_once(monkeypatch):
+    entries = default_corpus()
+    untimed = lambda r: dataclasses.replace(r, greedy_time_s=None, exact_time_s=None)
+    per_entry = sorted((run_entry(e) for e in entries), key=RatioReport.sort_key)
+    calls = []
+
+    def counting_generate(spec):
+        calls.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr("multidom.harness.generate", counting_generate)
+    reports = run_corpus(entries)
+    assert len(calls) == len(set(calls)) == 108
+    assert [untimed(r) for r in reports] == [untimed(r) for r in per_entry]
+
+
 def test_run_corpus_rejects_empty():
     with pytest.raises(ValueError):
         run_corpus([])
@@ -209,3 +227,11 @@ def test_gap_witness_check_negative_cases():
     assert not gap_witness_check(c5, 2).holds
     with pytest.raises(ValueError):
         gap_witness_check(c5, 1)
+
+
+def test_gap_witness_check_needs_two_vertices():
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        gap_witness_check(Graph(1), 2)
+    # A zero-vertex graph never reaches it: the constructor rejects n = 0.
+    with pytest.raises(GraphError):
+        Graph(0)

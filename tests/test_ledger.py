@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 from multidom import (
     FamilySpec,
     Graph,
+    GraphError,
     KOutOfRangeError,
     Mode,
     build_ledger,
@@ -267,6 +268,10 @@ def test_cost_domain_checked():
             check_neighborhood_bound(led, v)
         with pytest.raises(ValueError):
             check_residual_decomposition(led, v, Fraction(0))
+        with pytest.raises(GraphError):
+            led.own_cost_sum(v)
+        with pytest.raises(GraphError):
+            led.covered_at(v)
     with pytest.raises(ValueError):
         led.cost(3, -1)  # w = -1 is no neighbour of 3, whatever it would index
 
@@ -329,6 +334,8 @@ def test_sum_identity_everywhere(g):
         total = check_sum_identity(led)
         assert isinstance(total, Fraction)
         assert total == sol.size
+        # The per-iteration grouping keeps the per-arrival total.
+        assert total == sum((led.own_cost_sum(v) for v in range(g.n)), Fraction(0))
 
 
 @settings(deadline=None, max_examples=40)
