@@ -245,14 +245,24 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
     """Corpus document: a list of {"spec": {...FamilySpec fields...},
     "mode": "dom"|"ktuple"|"kdom", "k": int} objects.
 
-    Raises ValueError naming the entry index for a malformed document."""
+    n, a, b, seed and both k must be ints and p a number (a bool is
+    neither); a spec field may be left out or null, and the generator then
+    reports what its family needs.  Raises ValueError naming the entry
+    index for a malformed document."""
     if not isinstance(doc, list):
         raise ValueError(f"corpus document must be a JSON list, got {type(doc).__name__}")
     entries = []
     for i, item in enumerate(doc):
         try:
             spec = FamilySpec(**item["spec"])
-            entries.append(CorpusEntry(spec, Mode(item["mode"]), int(item.get("k", 1))))
+            k = item.get("k", 1)
+            for name, value in (("n", spec.n), ("a", spec.a), ("b", spec.b),
+                                ("seed", spec.seed), ("spec k", spec.k), ("k", k)):
+                if type(value) is not int and (value is not None or name == "k"):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+            if spec.p is not None and type(spec.p) not in (int, float):
+                raise ValueError(f"p must be a number, got {spec.p!r}")
+            entries.append(CorpusEntry(spec, Mode(item["mode"]), k))
         except KeyError as exc:
             raise ValueError(f"corpus entry {i}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .graph import Graph
-from .solvers import Mode, check_k, self_gain
+from .solvers import Mode, check_k, satisfies, self_gain
 
 DEFAULT_MAX_N = 24
 NAIVE_MAX_N = 8
@@ -52,12 +52,11 @@ def exact_minimum_naive(g: Graph, mode: Mode, k: int = 1, *, max_n: int = NAIVE_
     """
     _check_instance(g, mode, k, max_n)
     start = time.perf_counter()
-    validator = _validator(g, mode, k)
     nodes = 0
     for size in range(g.n + 1):
         for comb in itertools.combinations(range(g.n), size):
             nodes += 1
-            if validator(comb):
+            if satisfies(g, mode, k, comb):
                 return ExactResult(
                     mode=mode,
                     k=k,
@@ -137,14 +136,6 @@ def _check_instance(g: Graph, mode: Mode, k: int, max_n: int) -> None:
             f"exact search capped at n <= {max_n}, got n = {g.n}"
         )
     check_k(g, mode, k)
-
-
-def _validator(g: Graph, mode: Mode, k: int):
-    if mode is Mode.DOM:
-        return g.is_dominating
-    if mode is Mode.KTUPLE:
-        return lambda xs: g.is_ktuple_dominating(k, xs)
-    return lambda xs: g.is_k_dominating(k, xs)
 
 
 class _Search:

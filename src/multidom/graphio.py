@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import fields
 from typing import Iterable
 
 from .graph import Graph, GraphError
@@ -26,29 +27,8 @@ from .solvers import IterationRecord, Mode, Solution
 
 FORMATS = ("dimacs", "edgelist")
 
-CSV_COLUMNS = (
-    "instance_id",
-    "family",
-    "seed",
-    "n",
-    "m",
-    "max_degree",
-    "min_degree",
-    "mode",
-    "k",
-    "greedy_size",
-    "exact_size",
-    "ratio",
-    "bound",
-    "bound_satisfied",
-    "ledger_checks_passed",
-    "trivial",
-    "skip_reason",
-    "greedy_time_s",
-    "exact_time_s",
-    "nodes_explored",
-    "greedy_iterations",
-)
+# RatioReport's fields in order; ledger_rows is not a column.
+CSV_COLUMNS = tuple(f.name for f in fields(RatioReport) if f.name != "ledger_rows")
 
 
 class FormatError(ValueError):
@@ -227,31 +207,29 @@ def report_to_dict(report: RatioReport) -> dict:
 def write_report_csv(reports: Iterable[RatioReport]) -> str:
     """Render reports as CSV in the documented column order.
 
-    Ratios and bounds use 6 decimal places; missing values are empty cells.
+    Floats (ratios, bounds, times) use 6 decimal places; None is empty.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        row = []
-        for col in CSV_COLUMNS:
-            value = getattr(report, col)
-            if value is None:
-                row.append("")
-            elif isinstance(value, Mode):
-                row.append(value.value)
-            elif col in ("ratio", "bound", "greedy_time_s", "exact_time_s"):
-                row.append(f"{value:.6f}")
-            elif isinstance(value, bool):
-                row.append("true" if value else "false")
-            else:
-                row.append(str(value))
-        writer.writerow(row)
+    writer.writerows([_cell(getattr(report, col)) for col in CSV_COLUMNS] for report in reports)
     return buf.getvalue()
 
 
 def write_report_json(reports: Iterable[RatioReport]) -> str:
     return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+
+
+def _cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, Mode):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:

@@ -142,13 +142,12 @@ def verify_instance(
     bound = approximation_bound(mode, g.max_degree(), k)
     exact_fields = {}
     try:
-        t0 = time.perf_counter()
         exact = exact_minimum(g, mode, k, max_n=max_n)
     except InstanceTooLargeError:
         pass  # over the size cap: the exact fields stay None
     else:
         exact_fields = dict(
-            exact_time_s=time.perf_counter() - t0,
+            exact_time_s=exact.time_s,
             exact_size=exact.optimum,
             ratio=sol.size / exact.optimum,
             bound_satisfied=sol.size <= bound * exact.optimum * (1 + BOUND_SLACK),

@@ -4,9 +4,10 @@ All three greedy bounds rest on one charging argument.  Every vertex needs k
 arrivals, and the step that chooses a vertex causes as many arrivals as its
 score (solvers.step_arrivals is the rule).  The unit spent on iteration i is
 split evenly among its score(i) arrivals, so each arrival costs 1/score(i).
-This module replays a solution trace with that same rule, rejects a trace
-that disagrees with the replay, and exposes the three facts the analysis
-needs, each checkable in exact arithmetic:
+This module replays a solution trace with the solver's own step
+(solvers.apply_step), rejects a trace whose recorded step differs from the
+replayed one, and exposes the three facts the analysis needs, each
+checkable in exact arithmetic:
 
 * sum identity: all per-arrival costs add up to exactly the solution size;
 * subset bound: the total charged to a vertex is at most the total it would
@@ -27,14 +28,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable
 
 from .graph import Graph
-from .solvers import Mode, Solution, check_k, self_gain, step_arrivals
+from .solvers import Mode, Solution, apply_step, check_k, self_gain
 
 _HARMONIC_CACHE: list[Fraction] = [Fraction(0)]
+
+# Float slack of H(x) <= ln(x) + 1, which holds with equality at x = 1.
+LOG_BOUND_TOL = 1e-12
 
 
 def harmonic(x: int) -> Fraction:
@@ -47,13 +51,12 @@ def harmonic(x: int) -> Fraction:
     return _HARMONIC_CACHE[x]
 
 
-def check_harmonic_inequalities(x_max: int, tol: float = 1e-12) -> bool:
+def check_harmonic_inequalities(x_max: int) -> bool:
     """Exhaustively check the two harmonic-number facts up to x_max.
 
     For all 0 <= y <= x <= x_max: (x - y)/x <= H(x) - H(y), checked in exact
     integer arithmetic over the common denominator lcm(1..x_max).  And for
-    all 1 <= x <= x_max: H(x) <= ln(x) + 1 within tol (equality holds at
-    x = 1, hence the tolerance).
+    all 1 <= x <= x_max: H(x) <= ln(x) + 1 within LOG_BOUND_TOL.
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
@@ -68,17 +71,17 @@ def check_harmonic_inequalities(x_max: int, tol: float = 1e-12) -> bool:
             # (x - y)/x <= (scaled[x] - scaled[y])/lcm, cross-multiplied.
             if lcm * (x - y) > x * (sx - scaled[y]):
                 return False
-    return check_harmonic_log_bound(x_max, tol)
+    return check_harmonic_log_bound(x_max)
 
 
-def check_harmonic_log_bound(x_max: int, tol: float = 1e-12) -> bool:
-    """Check H(x) <= ln(x) + 1 + tol for all 1 <= x <= x_max."""
+def check_harmonic_log_bound(x_max: int) -> bool:
+    """Check H(x) <= ln(x) + 1 + LOG_BOUND_TOL for all 1 <= x <= x_max."""
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     h = Fraction(0)
     for x in range(1, x_max + 1):
         h += Fraction(1, x)
-        if float(h) > math.log(x) + 1 + tol:
+        if float(h) > math.log(x) + 1 + LOG_BOUND_TOL:
             return False
     return True
 
@@ -89,18 +92,17 @@ class CostLedger:
 
     For every vertex v, arrivals[v] lists the k iteration indices (1-based,
     non-decreasing) at which v received an arrival; the vertex behind an
-    arrival at iteration i is chosen[i-1].  A chosen vertex's self-gain
-    lands on it in its own iteration, as k - count arrivals for
+    arrival at iteration i is the solution's chosen[i-1].  A chosen vertex's
+    self-gain lands on it in its own iteration, as k - count arrivals for
     k-domination, so an iteration can repeat there.  scores[i-1] is the
     selection score of iteration i, which equals the number of arrivals
     that iteration caused.  joined[v] is the iteration that chose v, or
-    len(chosen) + 1 if v was never chosen.
+    len(scores) + 1 if v was never chosen.
     """
 
     mode: Mode
     k: int
     graph: Graph
-    chosen: tuple[int, ...]
     scores: tuple[int, ...]
     arrivals: tuple[tuple[int, ...], ...]
     joined: tuple[int, ...]
@@ -168,15 +170,14 @@ class CostLedger:
 
 
 def build_ledger(g: Graph, sol: Solution) -> CostLedger:
-    """Replay a solution trace with the solver's arrival rule.
+    """Replay a solution trace with the solver's own step.
 
-    Validates that the trace belongs to g and admits its k, that chosen
-    lists the iteration vertices in order without repeats, that iterations
-    are numbered 1, 2, ..., and that every iteration vertex is in 0..n-1.
-    Each step is then replayed with solvers.step_arrivals: it must cause
-    at least one arrival, the recorded score, newly-covered vertices,
-    covered_after count and, for k-domination, token placements must equal
-    the replay's, and every vertex must end with exactly k arrivals.
+    Validates that the trace belongs to g and admits its k, and that chosen
+    lists the iteration vertices in order without repeats.  Each iteration
+    vertex must be in 0..n-1; solvers.apply_step then replays its step,
+    which must cause at least one arrival, and the recorded IterationRecord
+    must equal the replayed one, or the error names the first field that
+    differs.  Every vertex must end with exactly k arrivals.
     """
     if sol.graph_fingerprint != g.fingerprint():
         raise ValueError("solution trace does not match this graph")
@@ -186,56 +187,36 @@ def build_ledger(g: Graph, sol: Solution) -> CostLedger:
     if len(set(sol.chosen)) != len(sol.chosen):
         raise ValueError("solution chooses a vertex more than once")
     n = g.n
-    k = sol.k
     count = [0] * n
     covered = 0
     arrivals: list[list[int]] = [[] for _ in range(n)]
     joined = [len(sol.chosen) + 1] * n
-    for i, rec in enumerate(sol.iterations):
-        if rec.index != i + 1:
-            raise ValueError(f"iteration {i + 1} is numbered {rec.index}")
+    for index, rec in enumerate(sol.iterations, start=1):
         v = rec.vertex
         if not 0 <= v < n:
-            raise ValueError(f"iteration {rec.index} chooses vertex {v} outside 0..{n - 1}")
-        joined[v] = rec.index
-        tokens = step_arrivals(g, sol.mode, k, count, v)
-        completed = []
-        for u in sorted(tokens):
-            arrivals[u].extend([rec.index] * tokens[u])
-            count[u] += tokens[u]
-            if count[u] == k:
-                completed.append(u)
-        covered += len(completed)
-        events = sum(tokens.values())
-        if events == 0:
-            raise ValueError(f"iteration {rec.index} causes no arrivals")
-        if events != rec.score:
-            raise ValueError(
-                f"iteration {rec.index} score {rec.score} != {events} arrival events"
+            raise ValueError(f"iteration {index} chooses vertex {v} outside 0..{n - 1}")
+        joined[v] = index
+        tokens, replay = apply_step(g, sol.mode, sol.k, count, v, index, covered)
+        if not tokens:
+            raise ValueError(f"iteration {index} causes no arrivals")
+        if rec != replay:
+            name = next(
+                f.name for f in fields(replay) if getattr(rec, f.name) != getattr(replay, f.name)
             )
-        if tuple(completed) != rec.newly_covered:
-            raise ValueError(
-                f"iteration {rec.index} newly-covered mismatch: "
-                f"{tuple(completed)} != {rec.newly_covered}"
-            )
-        if rec.covered_after != covered:
-            raise ValueError(
-                f"iteration {rec.index} covered_after {rec.covered_after} != {covered}"
-            )
-        placed = tokens if sol.mode is Mode.KDOM else {}
-        if dict(rec.tokens_placed) != placed:
-            raise ValueError(
-                f"iteration {rec.index} tokens_placed mismatch: "
-                f"{dict(rec.tokens_placed)} != {placed}"
-            )
-    short = [v for v in range(n) if count[v] != k]
+            got, want = getattr(rec, name), getattr(replay, name)
+            if name == "tokens_placed":
+                got, want = dict(got), dict(want)
+            raise ValueError(f"iteration {index}: {name} {got} != replayed {want}")
+        for u, c in tokens.items():
+            arrivals[u].extend([index] * c)
+        covered = replay.covered_after
+    short = [v for v in range(n) if count[v] != sol.k]
     if short:
-        raise ValueError(f"vertices {short} did not accumulate {k} arrivals")
+        raise ValueError(f"vertices {short} did not accumulate {sol.k} arrivals")
     return CostLedger(
         mode=sol.mode,
-        k=k,
+        k=sol.k,
         graph=g,
-        chosen=sol.chosen,
         scores=tuple(rec.score for rec in sol.iterations),
         arrivals=tuple(tuple(a) for a in arrivals),
         joined=tuple(joined),

@@ -13,8 +13,11 @@ All three variants share one rule, run by one loop in solve():
 The greedy chooses the unchosen vertex whose choice causes the most arrivals
 that still count, breaking ties toward the smallest vertex id.  So
 score(v) = #uncovered neighbors of v + (the self-gain if v is uncovered).
-self_gain() and step_arrivals() state this rule once; the ledger audit, the
-exact oracle and the harness bound use them instead of testing the mode.
+Each decision is stated once, here, and used elsewhere instead of a test of
+the mode: self_gain() and step_arrivals() state the rule; apply_step()
+makes one step and its IterationRecord, which solve() runs for every pick
+and the ledger audit replays over a trace; satisfies() picks each mode's
+validator for is_valid_solution() and the naive exact oracle.
 
 k-tuple domination needs k <= min_degree + 1 (some closed neighborhood is
 otherwise too small); k-domination accepts every k >= 1 and is trivial, with
@@ -37,9 +40,10 @@ verify_greedy_optimality() keeps the full scan as the independent reference.
 
 The trace records enough state (scores, newly covered vertices and, for
 k-domination, token placements) to audit every step after the fact without
-re-running the solver.  A token is one arrival; every vertex collects exactly
-k tokens over the run, and the tokens placed in one iteration equal its
-score, which is what the cost-ledger checks lean on.
+re-running the search: the audit replays apply_step() on each recorded
+vertex and compares the whole record.  A token is one arrival; every vertex
+collects exactly k tokens over the run, and the tokens placed in one
+iteration equal its score, which is what the cost-ledger checks lean on.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import enum
 import heapq
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .graph import Graph
 
@@ -173,7 +177,6 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     heap = [(-(len(adjacency[v]) + gain0), v) for v in range(n)]
     heapq.heapify(heap)
     covered = 0
-    chosen: list[int] = []
     records: list[IterationRecord] = []
     while covered < n:
         while True:
@@ -190,32 +193,39 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
                 break
             heapq.heapreplace(heap, (-best_score, best))
         heapq.heappop(heap)
-        tokens = step_arrivals(g, mode, k, count, best)
-        newly: list[int] = []
-        for u, arrivals in tokens.items():
-            count[u] += arrivals
-            if count[u] == k:
-                newly.append(u)
-        newly.sort()
-        covered += len(newly)
-        chosen.append(best)
-        records.append(
-            IterationRecord(
-                index=len(chosen),
-                vertex=best,
-                score=best_score,
-                newly_covered=tuple(newly),
-                tokens_placed=tokens if kdom else {},
-                covered_after=covered,
-            )
-        )
+        _, rec = apply_step(g, mode, k, count, best, len(records) + 1, covered)
+        covered = rec.covered_after
+        records.append(rec)
     return Solution(
         mode=mode,
         k=k,
-        chosen=tuple(chosen),
+        chosen=tuple(rec.vertex for rec in records),
         iterations=tuple(records),
         graph_fingerprint=g.fingerprint(),
         trivial=kdom and k > g.max_degree(),
+    )
+
+
+def apply_step(
+    g: Graph, mode: Mode, k: int, count: list[int], v: int, index: int, covered: int
+) -> tuple[dict[int, int], IterationRecord]:
+    """Choose v as step index of a run in which covered vertices are
+    covered so far: add its arrivals (step_arrivals) to count and return
+    them with the step's record.  The score is the number of arrivals."""
+    tokens = step_arrivals(g, mode, k, count, v)
+    newly: list[int] = []
+    for u, arrivals in tokens.items():
+        count[u] += arrivals
+        if count[u] == k:
+            newly.append(u)
+    newly.sort()
+    return tokens, IterationRecord(
+        index=index,
+        vertex=v,
+        score=sum(tokens.values()),
+        newly_covered=tuple(newly),
+        tokens_placed=tokens if mode is Mode.KDOM else {},
+        covered_after=covered + len(newly),
     )
 
 
@@ -236,13 +246,18 @@ def greedy_kdominating_set(g: Graph, k: int) -> Solution:
     return solve(g, Mode.KDOM, k)
 
 
+def satisfies(g: Graph, mode: Mode, k: int, xs: Iterable[int]) -> bool:
+    """True iff xs meets mode's requirement with multiplicity k on g."""
+    if mode is Mode.DOM:
+        return g.is_dominating(xs)
+    if mode is Mode.KTUPLE:
+        return g.is_ktuple_dominating(k, xs)
+    return g.is_k_dominating(k, xs)
+
+
 def is_valid_solution(g: Graph, sol: Solution) -> bool:
-    """Run the matching validator over the chosen set."""
-    if sol.mode is Mode.DOM:
-        return g.is_dominating(sol.chosen)
-    if sol.mode is Mode.KTUPLE:
-        return g.is_ktuple_dominating(sol.k, sol.chosen)
-    return g.is_k_dominating(sol.k, sol.chosen)
+    """Run the mode's validator over the chosen set."""
+    return satisfies(g, sol.mode, sol.k, sol.chosen)
 
 
 def verify_greedy_optimality(g: Graph, sol: Solution) -> bool:

@@ -168,8 +168,38 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
             "corpus entry 1:",
         ),
         ({"spec": {"family": "cycle", "n": 8}, "mode": "dom"}, "must be a JSON list"),
+        # A number of the wrong JSON type is an input error, never a
+        # TypeError traceback or a silent conversion.
+        ([{"spec": {"family": "cycle", "n": "8"}, "mode": "dom"}],
+         "corpus entry 0: n must be an integer, got '8'"),
+        ([{"spec": {"family": "cycle", "n": [8]}, "mode": "dom"}],
+         "corpus entry 0: n must be an integer, got [8]"),
+        ([{"spec": {"family": "cycle", "n": 8.0}, "mode": "dom"}],
+         "corpus entry 0: n must be an integer, got 8.0"),
+        ([{"spec": {"family": "path", "n": True}, "mode": "dom"}],
+         "corpus entry 0: n must be an integer, got True"),
+        ([{"spec": {"family": "complete_bipartite", "a": 2.0, "b": 3}, "mode": "dom"}],
+         "corpus entry 0: a must be an integer, got 2.0"),
+        ([{"spec": {"family": "complete_bipartite", "a": 2, "b": "3"}, "mode": "dom"}],
+         "corpus entry 0: b must be an integer, got '3'"),
+        ([{"spec": {"family": "erdos_renyi", "n": 8, "p": 0.4, "seed": "3"}, "mode": "dom"}],
+         "corpus entry 0: seed must be an integer, got '3'"),
+        ([{"spec": {"family": "erdos_renyi", "n": 8, "p": "0.4", "seed": 3}, "mode": "dom"}],
+         "corpus entry 0: p must be a number, got '0.4'"),
+        ([{"spec": {"family": "erdos_renyi", "n": 8, "p": True, "seed": 3}, "mode": "dom"}],
+         "corpus entry 0: p must be a number, got True"),
+        ([{"spec": {"family": "gap_witness", "k": 2.0}, "mode": "dom"}],
+         "corpus entry 0: spec k must be an integer, got 2.0"),
+        ([{"spec": {"family": "cycle", "n": 8}, "mode": "kdom", "k": 2.7}],
+         "corpus entry 0: k must be an integer, got 2.7"),
+        ([{"spec": {"family": "cycle", "n": 8}, "mode": "kdom", "k": True}],
+         "corpus entry 0: k must be an integer, got True"),
     ],
-    ids=["missing_spec", "unknown_spec_field", "not_a_list"],
+    ids=[
+        "missing_spec", "unknown_spec_field", "not_a_list", "n_string", "n_list", "n_float",
+        "n_bool", "a_float", "b_string", "seed_string", "p_string", "p_bool", "spec_k_float",
+        "k_float", "k_bool",
+    ],
 )
 def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):
     corpus_path = tmp_path / "corpus.json"

@@ -156,8 +156,19 @@ def _sample_reports():
     return [full, skip]
 
 
+# The documented CSV header (README.md); CSV_COLUMNS is derived from
+# RatioReport's fields, so this pins the field order.
+DOCUMENTED_HEADER = (
+    "instance_id,family,seed,n,m,max_degree,min_degree,mode,k,greedy_size,exact_size,"
+    "ratio,bound,bound_satisfied,ledger_checks_passed,trivial,skip_reason,greedy_time_s,"
+    "exact_time_s,nodes_explored,greedy_iterations"
+)
+
+
 def test_csv_golden():
     text = write_report_csv(_sample_reports())
+    assert text.splitlines()[0] == DOCUMENTED_HEADER
+    assert ",".join(CSV_COLUMNS) == DOCUMENTED_HEADER
     rows = list(csv.reader(io.StringIO(text)))
     assert tuple(rows[0]) == CSV_COLUMNS
     full = dict(zip(CSV_COLUMNS, rows[1]))

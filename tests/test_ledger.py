@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -118,18 +119,20 @@ def test_kdom_ledger_on_star():
 
 def test_arrival_bookkeeping():
     g = star(6)
-    led = build_ledger(g, greedy_ktuple_dominating_set(g, 2))
+    sol = greedy_ktuple_dominating_set(g, 2)
+    led = build_ledger(g, sol)
     # Center: covered once vertex 1 joins (its 2nd closed-neighborhood pick).
     assert led.arrivals[0] == (1, 2)
-    assert tuple(led.chosen[it - 1] for it in led.arrivals[0]) == (0, 1)
+    assert tuple(sol.chosen[it - 1] for it in led.arrivals[0]) == (0, 1)
     assert led.covered_at(0) == 2
     # Leaf 6 waits for its own selection.
     assert led.arrivals[6] == (1, 7)
-    assert tuple(led.chosen[it - 1] for it in led.arrivals[6]) == (0, 6)
-    led2 = build_ledger(g, greedy_kdominating_set(g, 2))
+    assert tuple(sol.chosen[it - 1] for it in led.arrivals[6]) == (0, 6)
+    sol2 = greedy_kdominating_set(g, 2)
+    led2 = build_ledger(g, sol2)
     # KDOM: the center tops itself up with 2 tokens at iteration 1.
     assert led2.arrivals[0] == (1, 1)
-    assert tuple(led2.chosen[it - 1] for it in led2.arrivals[0]) == (0, 0)
+    assert tuple(sol2.chosen[it - 1] for it in led2.arrivals[0]) == (0, 0)
 
 
 def test_build_ledger_rejects_wrong_graph():
@@ -163,7 +166,7 @@ def test_build_ledger_rejects_malformed_iterations(mode, k):
     with pytest.raises(ValueError, match="more than once"):
         build_ledger(C6, forged)
     renumbered = (dataclasses.replace(first, index=2),) + sol.iterations[1:]
-    with pytest.raises(ValueError, match="iteration 1 is numbered 2"):
+    with pytest.raises(ValueError, match="iteration 1: index 2 != replayed 1"):
         build_ledger(C6, dataclasses.replace(sol, iterations=renumbered))
 
 
@@ -187,8 +190,33 @@ def _forge_kdom_tokens(*placements):
     ],
 )
 def test_build_ledger_rejects_forged_tokens(placements):
-    with pytest.raises(ValueError, match="tokens_placed mismatch"):
+    i, tokens = placements[0]
+    with pytest.raises(ValueError, match=re.escape(f"iteration {i + 1}: tokens_placed {tokens} !=")):
         build_ledger(C6, _forge_kdom_tokens(*placements))
+
+
+# One forged value per IterationRecord field.  The replay takes its vertex
+# from the record, so a forged vertex is caught against chosen instead.
+FORGED_FIELDS = {
+    "index": lambda rec: rec.index + 1,
+    "vertex": lambda rec: (rec.vertex + 1) % 6,
+    "score": lambda rec: rec.score + 1,
+    "newly_covered": lambda rec: rec.newly_covered + (rec.vertex,),
+    "tokens_placed": lambda rec: {**rec.tokens_placed, rec.vertex: 9},
+    "covered_after": lambda rec: rec.covered_after + 1,
+}
+
+
+@pytest.mark.parametrize("field", FORGED_FIELDS)
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+def test_build_ledger_names_the_forged_field(mode, k, field):
+    sol = solve(C6, mode, k)
+    last = sol.iterations[-1]
+    forged = dataclasses.replace(last, **{field: FORGED_FIELDS[field](last)})
+    assert forged != last
+    message = "chosen order" if field == "vertex" else f"iteration {sol.size}: {field} "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_ledger(C6, dataclasses.replace(sol, iterations=sol.iterations[:-1] + (forged,)))
 
 
 @pytest.mark.parametrize("mode, k", C6_RUNS)
@@ -235,10 +263,10 @@ def test_build_ledger_rejects_inadmissible_k():
         build_ledger(C6, dataclasses.replace(sol, mode=Mode.DOM))
 
 
-def _scanned_cost(led, v, w):
+def _scanned_cost(sol, led, v, w):
     """cost(v, w) by scanning v's arrivals for one that w caused."""
     for it in led.arrivals[v]:
-        if led.chosen[it - 1] == w:
+        if sol.chosen[it - 1] == w:
             return Fraction(1, led.scores[it - 1])
     return Fraction(1, led.scores[led.covered_at(v) - 1])
 
@@ -247,10 +275,11 @@ def _scanned_cost(led, v, w):
 @given(graphs(max_n=9))
 def test_cost_matches_arrival_scan(g):
     for mode, k in _solvable_modes(g):
-        led = build_ledger(g, solve(g, mode, k))
+        sol = solve(g, mode, k)
+        led = build_ledger(g, sol)
         for v in range(g.n):
             for w in g.closed_neighborhood(v):
-                assert led.cost(v, w) == _scanned_cost(led, v, w)
+                assert led.cost(v, w) == _scanned_cost(sol, led, v, w)
 
 
 def test_cost_domain_checked():
@@ -365,14 +394,15 @@ def test_subset_bounds_exhaustive_small(g):
 @given(graphs(max_n=8), st.integers(1, 3))
 def test_arrival_structure(g, k):
     k = min(k, g.min_degree() + 1)
-    led = build_ledger(g, greedy_ktuple_dominating_set(g, k))
+    sol = greedy_ktuple_dominating_set(g, k)
+    led = build_ledger(g, sol)
     for v in range(g.n):
         arr = led.arrivals[v]
         assert len(arr) == k
         assert list(arr) == sorted(arr)
         # closed-neighborhood picks are distinct iterations and contributors
         assert len(set(arr)) == k
-        assert len(set(led.chosen[it - 1] for it in arr)) == k
+        assert len(set(sol.chosen[it - 1] for it in arr)) == k
         # cost monotonicity: earlier contributors are never cheaper than the last
         costs = [Fraction(1, led.scores[it - 1]) for it in arr]
         assert all(c <= costs[-1] for c in costs)
