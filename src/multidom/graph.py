@@ -29,19 +29,21 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n <= 0:
             raise GraphError(f"graph needs at least one vertex, got n={n}")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        # Plain lists while reading; duplicates collapse one row at a time,
+        # so only one set is live at once.
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u} is not allowed")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            rows[u].append(v)
+            rows[v].append(u)
         self.n = n
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in nbrs
+            tuple(sorted(set(row))) for row in rows
         )
-        self.m = sum(len(s) for s in nbrs) // 2
+        self.m = sum(map(len, self.adjacency)) // 2
         self._fingerprint: tuple[int, int, str] | None = None
 
     # -- basic queries ------------------------------------------------------

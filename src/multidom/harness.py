@@ -217,16 +217,18 @@ def run_corpus(
 
     Entries that share a spec share one generated graph.  Canonical order is
     (instance_id, mode, k) regardless of jobs, so output is reproducible
-    whether or not the run was parallel.
+    whether or not the run was parallel.  A spec its generator rejects
+    raises ValueError naming the index of its first entry, as
+    "corpus entry <i>: ...".
     """
     if entries is None:
         entries = default_corpus()
     if not entries:
         raise ValueError("corpus is empty")
-    by_spec: dict[FamilySpec, list[CorpusEntry]] = {}
-    for e in entries:
-        by_spec.setdefault(e.spec, []).append(e)
-    groups = [(group, max_n) for group in by_spec.values()]
+    by_spec: dict[FamilySpec, tuple[int, list[CorpusEntry]]] = {}
+    for i, e in enumerate(entries):
+        by_spec.setdefault(e.spec, (i, []))[1].append(e)
+    groups = [(first, group, max_n) for first, group in by_spec.values()]
     if jobs <= 1:
         results = map(_run_spec, groups)
     else:
@@ -235,10 +237,14 @@ def run_corpus(
     return sorted((r for reports in results for r in reports), key=RatioReport.sort_key)
 
 
-def _run_spec(arg: tuple[list[CorpusEntry], int]) -> list[RatioReport]:
-    """Run entries that share one spec on one generated graph."""
-    entries, max_n = arg
-    g = generate(entries[0].spec)
+def _run_spec(arg: tuple[int, list[CorpusEntry], int]) -> list[RatioReport]:
+    """Run entries that share one spec on one generated graph; first is the
+    corpus index of the first of them."""
+    first, entries, max_n = arg
+    try:
+        g = generate(entries[0].spec)
+    except ValueError as exc:
+        raise ValueError(f"corpus entry {first}: {exc}") from None
     return [run_entry(e, max_n=max_n, graph=g) for e in entries]
 
 

@@ -20,15 +20,20 @@ checkable in exact arithmetic:
   while it is uncovered; each arrival around w is charged at most 1 over
   that potential, so the charges telescope to the harmonic number.
 
-All ledger arithmetic uses fractions.Fraction; floats only appear when
-comparing harmonic numbers against logarithms.
+Every score is at most max_degree + self_gain(mode, k, 0), so every charge,
+every row sum and every step of the residual telescoping is an integer
+multiple of 1/unit, unit = lcm(1..max_degree + self_gain(mode, k, 0)).  The
+checks therefore sum exact Python ints (shares[i] = unit // scores[i]) and
+compare harmonic bounds by cross-multiplying; a Fraction is built only where
+the API returns one.  Floats only appear when comparing harmonic numbers
+against logarithms.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable
 
@@ -51,6 +56,24 @@ def harmonic(x: int) -> Fraction:
     return _HARMONIC_CACHE[x]
 
 
+def lcm_upto(x: int) -> int:
+    """lcm(1..x), with lcm_upto(0) = 1: the product, over the primes p <= x,
+    of the largest power of p not above x.  It multiplies by about x / ln x
+    prime powers instead of taking x lcms, so x = 10^5 takes about 0.05 s,
+    where math.lcm(*range(1, x + 1)) takes about 5 s."""
+    sieve = bytearray([1]) * (x + 1)
+    unit = 1
+    for p in range(2, x + 1):
+        if sieve[p]:
+            q = p
+            while q * p <= x:
+                q *= p
+            if q > p:  # p * p <= x, so p has multiples left to strike
+                sieve[p * p :: p] = bytes(len(range(p * p, x + 1, p)))
+            unit *= q
+    return unit
+
+
 def check_harmonic_inequalities(x_max: int) -> bool:
     """Exhaustively check the two harmonic-number facts up to x_max.
 
@@ -60,7 +83,7 @@ def check_harmonic_inequalities(x_max: int) -> bool:
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
-    lcm = math.lcm(*range(1, x_max + 1))
+    lcm = lcm_upto(x_max)
     # scaled[i] = H(i) * lcm, an exact integer.
     scaled = [0] * (x_max + 1)
     for i in range(1, x_max + 1):
@@ -98,6 +121,12 @@ class CostLedger:
     selection score of iteration i, which equals the number of arrivals
     that iteration caused.  joined[v] is the iteration that chose v, or
     len(scores) + 1 if v was never chosen.
+
+    unit = lcm(1..max_degree + self_gain(mode, k, 0)) and shares[i-1] =
+    unit // scores[i-1], so one arrival of iteration i costs shares[i-1] /
+    unit exactly.  Both are derived from scores and the graph, never passed
+    in; a score outside 1..max_degree + self_gain(mode, k, 0), which no
+    greedy step can have, raises ValueError.
     """
 
     mode: Mode
@@ -106,6 +135,19 @@ class CostLedger:
     scores: tuple[int, ...]
     arrivals: tuple[tuple[int, ...], ...]
     joined: tuple[int, ...]
+    unit: int = field(init=False, repr=False)
+    shares: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        top = self.graph.max_degree() + self_gain(self.mode, self.k, 0)
+        for i, s in enumerate(self.scores, start=1):
+            if not 1 <= s <= top:
+                raise ValueError(f"iteration {i} has score {s} outside 1..{top}")
+        unit = lcm_upto(top)
+        # One int per distinct score, shared by every iteration that has it.
+        by_score = {s: unit // s for s in set(self.scores)}
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "shares", tuple(map(by_score.__getitem__, self.scores)))
 
     def covered_at(self, v: int) -> int:
         """Iteration at which v's requirement became fully satisfied.
@@ -140,10 +182,7 @@ class CostLedger:
 
         Raises GraphError when v is outside 0..n-1."""
         self.graph._check_vertex(v)
-        return sum(
-            (Fraction(1, self.scores[it - 1]) for it in self.arrivals[v]),
-            Fraction(0),
-        )
+        return Fraction(sum(self.shares[it - 1] for it in self.arrivals[v]), self.unit)
 
     def residual_sequence(self, w: int) -> tuple[int, ...]:
         """w's greedy score after each iteration: r_0 >= r_1 >= ... >= r_m = 0.
@@ -228,17 +267,14 @@ def check_sum_identity(ledger: CostLedger) -> Fraction:
 
     Each iteration splits one unit of cost over its arrival events, so the
     grand total counts one unit per chosen vertex.  The arrivals are counted
-    per iteration first, so the total takes one Fraction per iteration,
-    count_i / score_i, instead of one per arrival.
+    per iteration first, so the total is sum_i count_i * shares[i-1], one
+    Fraction over ledger.unit.
     """
     counts = [0] * len(ledger.scores)
     for its in ledger.arrivals:
         for it in its:
             counts[it - 1] += 1
-    return sum(
-        (Fraction(c, s) for c, s in zip(counts, ledger.scores)),
-        Fraction(0),
-    )
+    return Fraction(sum(c * s for c, s in zip(counts, ledger.shares)), ledger.unit)
 
 
 def check_subset_cost_bound(ledger: CostLedger, v: int, subset: Iterable[int]) -> bool:
@@ -265,13 +301,21 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Frac
     self-charge.  For k-domination that is all of w's own coverage charge,
     since w's self-gain could settle every arrival w needs; otherwise it is
     cost(w, w).  The bound is H(deg(w) + self_gain(mode, k, 0)), that is
-    H(deg(w) + 1), or H(deg(w) + k) for k-domination.
+    H(deg(w) + 1), or H(deg(w) + k) for k-domination.  lhs is summed in
+    shares and divided by ledger.unit once.
     """
     g = ledger.graph
     g._check_vertex(w)
-    lhs = sum((ledger.cost(v, w) for v in g.adjacency[w]), Fraction(0))
-    lhs += ledger.own_cost_sum(w) if ledger.mode is Mode.KDOM else ledger.cost(w, w)
-    return lhs, harmonic(g.degree(w) + self_gain(ledger.mode, ledger.k, 0))
+    shares, arrivals = ledger.shares, ledger.arrivals
+    join_w = ledger.joined[w]
+    # cost(v, w) is one share of iteration min(joined[w], covered_at(v)).
+    lhs = sum(shares[min(join_w, arrivals[v][-1]) - 1] for v in g.adjacency[w])
+    if ledger.mode is Mode.KDOM:
+        lhs += sum(shares[it - 1] for it in arrivals[w])
+    else:
+        lhs += shares[min(join_w, arrivals[w][-1]) - 1]
+    bound = harmonic(g.degree(w) + self_gain(ledger.mode, ledger.k, 0))
+    return Fraction(lhs, ledger.unit), bound
 
 
 def check_residual_decomposition(ledger: CostLedger, w: int, lhs: Fraction) -> bool:
@@ -281,22 +325,26 @@ def check_residual_decomposition(ledger: CostLedger, w: int, lhs: Fraction) -> b
     the first two exact, and together they imply the neighborhood bound:
     lhs equals sum_i (r_{i-1} - r_i)/score_i; that is at most
     sum_i (r_{i-1} - r_i)/r_{i-1} because each greedy score dominates the
-    residual; and the latter telescopes to at most H(r_0).
+    residual; and the latter telescopes to at most H(r_0).  Both sums are
+    kept as integer multiples of 1/ledger.unit: every r_{i-1} is at most
+    r_0 <= max_degree + self_gain(mode, k, 0), so unit // r_{i-1} is exact.
     """
     r = ledger.residual_sequence(w)
-    per_score = Fraction(0)
-    per_residual = Fraction(0)
+    unit, scores, shares = ledger.unit, ledger.scores, ledger.shares
+    per_score = 0
+    per_residual = 0
     for i in range(1, len(r)):
         drop = r[i - 1] - r[i]
         if drop < 0:
             return False
         if drop:
-            if ledger.scores[i - 1] < r[i - 1]:
+            if scores[i - 1] < r[i - 1]:
                 return False
-            per_score += Fraction(drop, ledger.scores[i - 1])
-            per_residual += Fraction(drop, r[i - 1])
+            per_score += drop * shares[i - 1]
+            per_residual += drop * (unit // r[i - 1])
+    h = harmonic(r[0])
     return (
-        lhs == per_score
+        lhs.numerator * unit == per_score * lhs.denominator
         and per_score <= per_residual
-        and per_residual <= harmonic(r[0])
+        and per_residual * h.denominator <= h.numerator * unit
     )

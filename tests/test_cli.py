@@ -194,11 +194,15 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
          "corpus entry 0: k must be an integer, got 2.7"),
         ([{"spec": {"family": "cycle", "n": 8}, "mode": "kdom", "k": True}],
          "corpus entry 0: k must be an integer, got True"),
+        # A spec its generator rejects is named by its entry too.
+        ([{"spec": {"family": "path", "n": 4}, "mode": "dom"},
+          {"spec": {"family": "cycle", "n": 2}, "mode": "dom"}],
+         "corpus entry 1: cycle needs n >= 3, got 2"),
     ],
     ids=[
         "missing_spec", "unknown_spec_field", "not_a_list", "n_string", "n_list", "n_float",
         "n_bool", "a_float", "b_string", "seed_string", "p_string", "p_bool", "spec_k_float",
-        "k_float", "k_bool",
+        "k_float", "k_bool", "generator_rejects_spec",
     ],
 )
 def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):

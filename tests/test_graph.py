@@ -49,6 +49,23 @@ def test_adjacency_sorted_and_m_consistent():
     assert sum(len(row) for row in g.adjacency) == 2 * g.m
 
 
+@given(st.data())
+def test_adjacency_matches_set_built_reference(data):
+    n = data.draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pair, max_size=30))
+    # Every edge once more, reversed, in any order: duplicates in both orientations.
+    edges = data.draw(st.permutations(edges + [(v, u) for u, v in edges]))
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    g = Graph(n, edges)
+    assert g.adjacency == tuple(tuple(sorted(s)) for s in nbrs)
+    assert g.m == sum(len(s) for s in nbrs) // 2
+    assert g.fingerprint() == Graph(n, list(g.edges())).fingerprint()
+
+
 def test_construction_errors():
     with pytest.raises(GraphError):
         Graph(0)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from multidom import (
     self_gain,
     solve,
 )
+from multidom.ledger import lcm_upto
 from conftest import graphs
 
 
@@ -63,6 +65,11 @@ def test_harmonic_values():
     assert harmonic(8) == Fraction(761, 280)
     with pytest.raises(ValueError):
         harmonic(-1)
+
+
+def test_lcm_upto_matches_math_lcm():
+    for x in range(0, 300):
+        assert lcm_upto(x) == math.lcm(*range(1, x + 1))
 
 
 def test_harmonic_inequalities_small():
@@ -349,6 +356,105 @@ def test_audit_matches_pinned_digest():
             )
         h.update(json.dumps(rows).encode() + b"\n")
     assert (solved, h.hexdigest()) == PINNED_AUDIT
+
+
+# -- the Fraction audit, kept as the reference of the integer one ---------------
+
+
+def _ref_sum_identity(led):
+    counts = [0] * len(led.scores)
+    for its in led.arrivals:
+        for it in its:
+            counts[it - 1] += 1
+    return sum((Fraction(c, s) for c, s in zip(counts, led.scores)), Fraction(0))
+
+
+def _ref_neighborhood_bound(led, w):
+    g = led.graph
+    g._check_vertex(w)
+    lhs = sum((led.cost(v, w) for v in g.adjacency[w]), Fraction(0))
+    if led.mode is Mode.KDOM:
+        lhs += sum((Fraction(1, led.scores[it - 1]) for it in led.arrivals[w]), Fraction(0))
+    else:
+        lhs += led.cost(w, w)
+    return lhs, harmonic(g.degree(w) + self_gain(led.mode, led.k, 0))
+
+
+def _ref_residual_decomposition(led, w, lhs):
+    r = led.residual_sequence(w)
+    per_score = Fraction(0)
+    per_residual = Fraction(0)
+    for i in range(1, len(r)):
+        drop = r[i - 1] - r[i]
+        if drop < 0:
+            return False
+        if drop:
+            if led.scores[i - 1] < r[i - 1]:
+                return False
+            per_score += Fraction(drop, led.scores[i - 1])
+            per_residual += Fraction(drop, r[i - 1])
+    return lhs == per_score and per_score <= per_residual and per_residual <= harmonic(r[0])
+
+
+INTEGER_AUDIT = (check_sum_identity, check_neighborhood_bound, check_residual_decomposition)
+FRACTION_AUDIT = (_ref_sum_identity, _ref_neighborhood_bound, _ref_residual_decomposition)
+
+
+def _audit(led, size, checks):
+    """Everything one path reports: sum, rows, per-vertex verdicts, verdict."""
+    sum_identity, bound_row, residual = checks
+    total = sum_identity(led)
+    rows = []
+    for w in range(led.graph.n):
+        lhs, bound = bound_row(led, w)
+        rows.append((lhs, bound, residual(led, w, lhs)))
+    passed = total == size and all(lhs <= bound and ok for lhs, bound, ok in rows)
+    return total, rows, passed
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs(max_n=10))
+def test_integer_audit_matches_fraction_reference(g):
+    for mode, k in _solvable_modes(g):
+        sol = solve(g, mode, k)
+        led = build_ledger(g, sol)
+        assert all(sh * s == led.unit for sh, s in zip(led.shares, led.scores))
+        got = _audit(led, sol.size, INTEGER_AUDIT)
+        assert got == _audit(led, sol.size, FRACTION_AUDIT)
+        assert got[2]
+        assert isinstance(got[0], Fraction)
+        assert all(isinstance(lhs, Fraction) for lhs, _, _ in got[1])
+
+
+FORGE_GRAPHS = [C6, star(6), path(7), Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])]
+
+
+@pytest.mark.parametrize("g", FORGE_GRAPHS, ids=["c6", "star6", "p7", "house"])
+def test_forged_ledgers_rejected_by_both_paths(g):
+    for mode, k in _solvable_modes(g):
+        sol = solve(g, mode, k)
+        led = build_ledger(g, sol)
+        # A lowered score re-derives its share, so both paths see the same
+        # forged ledger and both reject it.
+        for i, s in enumerate(led.scores):
+            if s < 2:
+                continue
+            forged = dataclasses.replace(led, scores=led.scores[:i] + (s - 1,) + led.scores[i + 1:])
+            assert forged.shares[i] == forged.unit // (s - 1)
+            got = _audit(forged, sol.size, INTEGER_AUDIT)
+            assert got == _audit(forged, sol.size, FRACTION_AUDIT)
+            assert not got[2]
+        # A wrong lhs fails the decomposition, however small the error.
+        for w in range(g.n):
+            lhs, _ = check_neighborhood_bound(led, w)
+            for wrong in (lhs + Fraction(1, led.unit), lhs - Fraction(1, 10**9), lhs * 2):
+                assert not check_residual_decomposition(led, w, wrong)
+                assert not _ref_residual_decomposition(led, w, wrong)
+        # No greedy step scores outside 1..max_degree + self_gain.
+        top = g.max_degree() + self_gain(mode, k, 0)
+        for bad in (0, top + 1):
+            with pytest.raises(ValueError, match=f"score {bad} outside 1..{top}"):
+                dataclasses.replace(led, scores=(bad,) + led.scores[1:])
 
 
 # -- property checks over random runs ------------------------------------------
