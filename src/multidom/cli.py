@@ -232,13 +232,14 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
+    if args.n is not None and args.format != "edgelist":
+        raise ValueError("--n applies only to --format edgelist")
     if args.input == "-":
         text = sys.stdin.read()
     else:
         with open(args.input) as fh:
             text = fh.read()
-    n = getattr(args, "n", None)
-    return parse_graph(text, args.format, n=n)
+    return parse_graph(text, args.format, n=args.n)
 
 
 def _entries_from_json(doc: object) -> list[CorpusEntry]:

@@ -70,25 +70,28 @@ class FamilySpec:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph named by spec; same spec, same graph, bytes included."""
+    """Build the graph named by spec; same spec, same graph, bytes included.
+
+    Edges go to Graph() lazily, so a vertex count over MAX_VERTICES fails
+    before any edge is made."""
     fam = spec.family
     if fam == "path":
         n = _require_n(spec, minimum=1)
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
+        return Graph(n, ((i, i + 1) for i in range(n - 1)))
     if fam == "cycle":
         n = _require_n(spec, minimum=3)
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        return Graph(n, ((i, (i + 1) % n) for i in range(n)))
     if fam == "complete":
         n = _require_n(spec, minimum=1)
-        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
     if fam == "star":
         n = _require_n(spec, minimum=2)
-        return Graph(n, [(0, i) for i in range(1, n)])
+        return Graph(n, ((0, i) for i in range(1, n)))
     if fam == "complete_bipartite":
         if spec.a is None or spec.b is None or spec.a < 1 or spec.b < 1:
             raise ValueError(f"complete_bipartite needs a >= 1 and b >= 1, got {spec}")
         a, b = spec.a, spec.b
-        return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        return Graph(a + b, ((i, a + j) for i in range(a) for j in range(b)))
     if fam == "erdos_renyi":
         n = _require_n(spec, minimum=1)
         if spec.p is None or not 0.0 <= spec.p <= 1.0:
@@ -97,18 +100,18 @@ def generate(spec: FamilySpec) -> Graph:
             raise ValueError("erdos_renyi needs an explicit seed")
         threshold = int(spec.p * (1 << 64))
         stream = splitmix64(spec.seed)
-        edges = [
+        edges = (
             (i, j)
             for i in range(n)
             for j in range(i + 1, n)
             if next(stream) < threshold
-        ]
+        )
         return Graph(n, edges)
     if fam == "gap_witness":
         if spec.k is None or spec.k < 1:
             raise ValueError(f"gap_witness needs k >= 1, got {spec.k}")
         leaves = 3 * spec.k
-        return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+        return Graph(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
     raise ValueError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
 
 

@@ -11,22 +11,35 @@ import hashlib
 from itertools import compress
 from typing import Iterable, Iterator
 
+# The most vertices a Graph may have.  Graph() checks it before any
+# per-vertex allocation, so a header such as "p edge 1000000000 0" fails at
+# once instead of building a billion rows.
+MAX_VERTICES = 10**7
+
 
 class GraphError(ValueError):
     """Raised for invalid graph construction input."""
+
+
+def check_vertex_cap(n: int) -> None:
+    """Raise GraphError when n exceeds MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise GraphError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
 
 
 class Graph:
     """Undirected simple graph with a fixed vertex range 0..n-1.
 
     adjacency[v] is the ascending tuple of v's neighbours.  Self-loops are
-    rejected, duplicate edges collapse to one.  Instances are immutable after
-    construction and safe to share across threads/processes.
+    rejected, duplicate edges collapse to one, and n may not exceed
+    MAX_VERTICES; edges is read once, after n is checked.  Instances are
+    immutable after construction and safe to share across threads/processes.
     """
 
     __slots__ = ("n", "m", "adjacency", "_fingerprint")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        check_vertex_cap(n)
         if n <= 0:
             raise GraphError(f"graph needs at least one vertex, got n={n}")
         # Plain lists while reading; duplicates collapse one row at a time,

@@ -3,14 +3,21 @@
 Two text formats:
 
 * dimacs: `c` comment lines, one `p edge <n> <m>` header, then exactly m
-  `e <u> <v>` lines with 1-based endpoints.
+  `e <u> <v>` lines with 1-based endpoints.  The canonical layout that
+  write_dimacs emits (the header, then only `e` lines, single spaces, ASCII
+  digits without leading zeros, every line ending in `\n`) is read in bulk,
+  a bounded chunk at a time.  Any other layout, and any canonical-looking
+  input that fails, goes to the line-by-line reader, which gives the same
+  graph and is the only source of error messages.
 * edgelist: `#` comment lines and `u v` pairs with 0-based endpoints.  The
   writer emits a leading `# n <n>` directive so isolated trailing vertices
   survive a round trip; the parser honors the directive, an explicit n
   argument overrides it, and otherwise n is inferred as max id + 1.
 
-Parse errors carry the 1-based line number.  Writers emit edges sorted, so
-output is canonical: parse(write(g)) == g for every graph.
+Parse errors carry the 1-based line number.  A vertex count over
+graph.MAX_VERTICES is an error; dimacs reports it at the `p` line.  Writers
+emit edges sorted, so output is canonical: parse(write(g)) == g for every
+graph.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import fields
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, check_vertex_cap
 from .harness import RatioReport
 from .solvers import IterationRecord, Mode, Solution
 
@@ -55,7 +63,56 @@ def write_graph(g: Graph, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
 
 
+# The canonical dimacs layout.  Endpoints are checked by Graph() and the
+# e-line count at the end, not here.
+_CANONICAL_HEADER = re.compile(r"p edge ([1-9][0-9]*) (0|[1-9][0-9]*)\n")
+_CANONICAL_EDGES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]*\n)*")
+# Characters per bulk chunk.  The regex keeps backtracking state for every
+# line it matches, so a bounded chunk bounds that state.
+_CHUNK = 1 << 13
+
+
+class _NotCanonical(ValueError):
+    """The bulk reader met input outside the canonical layout."""
+
+
 def parse_dimacs(text: str) -> Graph:
+    head = _CANONICAL_HEADER.match(text)
+    if head is not None:
+        try:
+            n, m = int(head[1]), int(head[2])
+            return Graph(n, _canonical_edges(text, head.end(), n, m))
+        except (ValueError, IndexError):
+            # _NotCanonical, a GraphError (range, self-loop, vertex cap), an
+            # int() over its digit limit, or an endpoint past n (IndexError):
+            # the line reader finds the same graph or says what is wrong.
+            pass
+    return _parse_dimacs_lines(text)
+
+
+def _canonical_edges(text: str, pos: int, n: int, m: int) -> Iterator[tuple[int, int]]:
+    """Yield the 0-based edges of the canonical body text[pos:], one chunk
+    of whole lines at a time.  Raise _NotCanonical on a chunk outside the
+    layout or an e-line count other than m."""
+    ids = list(range(-1, n))  # ids[u] == u - 1, one int object per vertex
+    open_ends = 2 * m
+    size = len(text)
+    while pos < size:
+        end = text.find("\n", pos + _CHUNK) + 1 or size
+        chunk = text[pos:end]
+        if _CANONICAL_EDGES.fullmatch(chunk) is None:
+            raise _NotCanonical
+        tokens = chunk.split()
+        del tokens[::3]  # the "e" of every line
+        open_ends -= len(tokens)
+        ends = map(ids.__getitem__, map(int, tokens))
+        yield from zip(ends, ends)
+        pos = end
+    if open_ends:
+        raise _NotCanonical
+
+
+def _parse_dimacs_lines(text: str) -> Graph:
     n = None
     declared_m = None
     edges: list[tuple[int, int]] = []
@@ -71,6 +128,10 @@ def parse_dimacs(text: str) -> Graph:
                 raise FormatError(line_no, f"expected 'p edge <n> <m>', got {line!r}")
             n = _parse_int(fields[2], line_no, "vertex count")
             declared_m = _parse_int(fields[3], line_no, "edge count")
+            try:
+                check_vertex_cap(n)
+            except GraphError as exc:
+                raise FormatError(line_no, str(exc)) from None
         elif fields[0] == "e":
             if n is None:
                 raise FormatError(line_no, "edge before problem line")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from multidom import (
+    MAX_VERTICES,
     Graph,
     Mode,
     build_ledger,
@@ -236,3 +237,29 @@ def test_bad_graph_file_is_usage_error(tmp_path, capsys):
     path.write_text("p edge 3 1\ne 1 9\n")
     assert main(["solve", str(path), "--mode", "dom"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_n_rejected_for_dimacs_input(c6_path, capsys):
+    assert main(["solve", c6_path, "--mode", "dom", "--n", "8"]) == 2
+    assert capsys.readouterr().err == "error: --n applies only to --format edgelist\n"
+
+
+@pytest.mark.parametrize(
+    "argv,text,where",
+    [
+        (["solve", "-", "--mode", "dom"], f"p edge {MAX_VERTICES + 1} 0\n", "line 1: "),
+        (["solve", "-", "--mode", "dom", "--format", "edgelist"],
+         f"# n {MAX_VERTICES + 1}\n0 1\n", "line 3: "),
+        (["solve", "-", "--mode", "dom", "--format", "edgelist"],
+         f"0 {MAX_VERTICES}\n", "line 2: "),
+        (["gen", "--family", "path", "--n", str(MAX_VERTICES + 1)], "", ""),
+    ],
+    ids=["dimacs_header", "edgelist_directive", "edgelist_inferred", "gen_path"],
+)
+def test_vertex_cap_is_usage_error(monkeypatch, capsys, argv, text, where):
+    import io
+    import sys
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {where}{MAX_VERTICES + 1} vertices exceed the cap of {MAX_VERTICES}\n"

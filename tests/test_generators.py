@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidom import FAMILIES, FamilySpec, Graph, generate, splitmix64
+from multidom import FAMILIES, MAX_VERTICES, FamilySpec, Graph, GraphError, generate, splitmix64
 
 
 # Reference outputs for seed 0, from the published splitmix64 test vectors.
@@ -108,6 +108,24 @@ def test_family_spec_validation():
         generate(FamilySpec(family="complete_bipartite", a=0, b=3))
     with pytest.raises(ValueError):
         generate(FamilySpec(family="gap_witness", k=0))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec(family="path", n=MAX_VERTICES + 1),
+        FamilySpec(family="cycle", n=MAX_VERTICES + 1),
+        FamilySpec(family="complete", n=MAX_VERTICES + 1),
+        FamilySpec(family="star", n=MAX_VERTICES + 1),
+        FamilySpec(family="complete_bipartite", a=MAX_VERTICES, b=1),
+        FamilySpec(family="erdos_renyi", n=MAX_VERTICES + 1, p=0.5, seed=0),
+        FamilySpec(family="gap_witness", k=MAX_VERTICES // 3 + 1),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_vertex_cap_fails_before_any_edge(spec):
+    with pytest.raises(GraphError, match=f"exceed the cap of {MAX_VERTICES}"):
+        generate(spec)
 
 
 def test_instance_ids_are_canonical():

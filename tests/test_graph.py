@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from multidom import Graph, GraphError
+from multidom import MAX_VERTICES, Graph, GraphError
 from conftest import graphs, vertex_subsets
 
 
@@ -77,6 +77,15 @@ def test_construction_errors():
         Graph(3, [(-1, 0)])
     with pytest.raises(GraphError):
         Graph(3, [(1, 1)])
+
+
+def test_vertex_cap_checked_before_edges_are_read():
+    def edges():
+        raise AssertionError("edges read before the vertex cap check")
+        yield
+
+    with pytest.raises(GraphError, match=f"exceed the cap of {MAX_VERTICES}"):
+        Graph(MAX_VERTICES + 1, edges())
 
 
 def test_neighborhoods():

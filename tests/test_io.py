@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from multidom import (
     CSV_COLUMNS,
+    MAX_VERTICES,
     FamilySpec,
     FormatError,
     Graph,
@@ -26,6 +29,7 @@ from multidom import (
     write_report_csv,
     write_report_json,
 )
+from multidom import graphio
 from conftest import graphs
 
 
@@ -61,6 +65,15 @@ def test_dimacs_preserves_isolated_vertices():
         ("p grid 3 1\n", 1),
         ("c only a comment\n", 2),  # missing problem line
         ("p edge 3 2\ne 1 2\n", 3),  # header mismatch
+        # Canonical layout, so the bulk reader meets each of these first;
+        # the two self-loop and range cases above are canonical too.
+        ("p edge 3 1\ne 1 4\n", 2),
+        ("p edge 3 1\ne 0 2\n", 2),
+        ("p edge 3 1\ne 1 2\ne 2 3\n", 4),
+        ("p edge 3 3\ne 1 2\ne 3 1", 4),  # no final newline, then a count mismatch
+        (f"p edge {MAX_VERTICES + 1} 0\n", 1),
+        ("p edge " + "9" * 5000 + " 0\n", 1),
+        (f"c big\np edge {MAX_VERTICES + 1} 0\ne 1 2\n", 2),
     ],
 )
 def test_dimacs_errors_carry_line_numbers(text, line_no):
@@ -68,6 +81,89 @@ def test_dimacs_errors_carry_line_numbers(text, line_no):
         parse_dimacs(text)
     assert exc_info.value.line_no == line_no
     assert f"line {line_no}:" in str(exc_info.value)
+
+
+def test_canonical_dimacs_is_read_in_bulk(monkeypatch):
+    # Several bulk chunks, and ids past the interpreter's small-int cache;
+    # the line reader must not run.
+    g = generate(FamilySpec("erdos_renyi", n=300, p=0.1, seed=2))
+    text = write_dimacs(g)
+    assert len(text) > 3 * graphio._CHUNK
+
+    def fail(text):
+        raise AssertionError("canonical input reached the line reader")
+
+    monkeypatch.setattr(graphio, "_parse_dimacs_lines", fail)
+    parsed = parse_dimacs(text)
+    assert parsed == g
+    # Every endpoint comes from one id table: one int object per vertex.
+    assert len({id(v) for row in parsed.adjacency for v in row}) == g.n
+
+
+def _lines_mutation(lines, n, draw):
+    """Apply one drawn mutation to the lines of a canonical dimacs text
+    (no line ends); return the new text."""
+    kind = draw(st.sampled_from((
+        "comment", "blank", "crlf", "double_space", "leading_zero", "no_final_newline",
+        "duplicate_edge", "id_zero", "id_past_n", "self_loop", "wrong_m", "huge_int",
+    )))
+    at = draw(st.integers(1, len(lines)))  # a line index after the header
+    e_lines = [i for i in range(1, len(lines)) if lines[i].startswith("e")]
+    if kind == "comment":
+        lines.insert(at, "c a comment")
+    elif kind == "blank":
+        lines.insert(at, "")
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == "double_space":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i].replace(" ", "  ")
+    elif kind == "no_final_newline":
+        return "\n".join(lines)
+    elif kind == "duplicate_edge" and e_lines:
+        lines.insert(at, lines[draw(st.sampled_from(e_lines))])
+    elif kind == "huge_int" and draw(st.booleans()):
+        fields = lines[0].split()
+        fields[draw(st.sampled_from((2, 3)))] = "9" * draw(st.sampled_from((30, 5000)))
+        lines[0] = " ".join(fields)
+    elif kind == "wrong_m" and len(lines[0]) < 40:  # not after a huge_int header
+        fields = lines[0].split()
+        fields[3] = str(int(fields[3]) + draw(st.sampled_from((-1, 1))))
+        lines[0] = " ".join(fields)
+    elif kind in ("leading_zero", "id_zero", "id_past_n", "huge_int") and e_lines:
+        i = draw(st.sampled_from(e_lines))
+        fields = lines[i].split()
+        end = draw(st.sampled_from((1, 2)))
+        fields[end] = {
+            "leading_zero": "0" + fields[end],
+            "id_zero": "0",
+            "id_past_n": str(n + 1),
+            "huge_int": "9" * draw(st.sampled_from((30, 5000))),
+        }[kind]
+        lines[i] = " ".join(fields)
+    elif kind == "self_loop":
+        lines.insert(at, f"e {draw(st.integers(1, n))} {draw(st.integers(1, n))}")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return (exc.line_no, str(exc))
+
+
+@settings(deadline=None, max_examples=300)
+@given(graphs(max_n=12), st.data(), st.sampled_from((8, 64, graphio._CHUNK)))
+def test_bulk_dimacs_matches_line_reader(g, data, chunk):
+    lines = write_dimacs(g).split("\n")[:-1]
+    text = "\n".join(lines) + "\n"
+    for _ in range(data.draw(st.integers(0, 3))):
+        text = _lines_mutation(text.rstrip("\n").split("\n"), g.n, data.draw)
+    expected = _outcome(graphio._parse_dimacs_lines, text)
+    # Small chunks put chunk edges inside these small graphs.
+    with mock.patch.object(graphio, "_CHUNK", chunk):
+        assert _outcome(parse_dimacs, text) == expected
 
 
 def test_parse_edge_list_basic():
@@ -104,6 +200,16 @@ def test_edge_list_errors_carry_line_numbers(text, line_no):
     with pytest.raises(FormatError) as exc_info:
         parse_edge_list(text)
     assert exc_info.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"# n {MAX_VERTICES + 1}\n0 1\n", f"0 {MAX_VERTICES}\n"],
+    ids=["directive", "inferred"],
+)
+def test_edge_list_vertex_cap(text):
+    with pytest.raises(FormatError, match=f"exceed the cap of {MAX_VERTICES}"):
+        parse_edge_list(text)
 
 
 def test_edge_list_rejects_ids_beyond_declared_n():
