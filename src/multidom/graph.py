@@ -21,8 +21,10 @@ class GraphError(ValueError):
     """Raised for invalid graph construction input."""
 
 
-def check_vertex_cap(n: int) -> None:
-    """Raise GraphError when n exceeds MAX_VERTICES."""
+def check_vertex_count(n: int) -> None:
+    """Raise GraphError unless 1 <= n <= MAX_VERTICES."""
+    if n < 1:
+        raise GraphError(f"graph needs at least one vertex, got n={n}")
     if n > MAX_VERTICES:
         raise GraphError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
 
@@ -31,17 +33,15 @@ class Graph:
     """Undirected simple graph with a fixed vertex range 0..n-1.
 
     adjacency[v] is the ascending tuple of v's neighbours.  Self-loops are
-    rejected, duplicate edges collapse to one, and n may not exceed
-    MAX_VERTICES; edges is read once, after n is checked.  Instances are
+    rejected, duplicate edges collapse to one, and n must be in
+    1..MAX_VERTICES; edges is read once, after n is checked.  Instances are
     immutable after construction and safe to share across threads/processes.
     """
 
     __slots__ = ("n", "m", "adjacency", "_fingerprint")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        check_vertex_cap(n)
-        if n <= 0:
-            raise GraphError(f"graph needs at least one vertex, got n={n}")
+        check_vertex_count(n)
         # Plain lists while reading; duplicates collapse one row at a time,
         # so only one set is live at once.
         rows: list[list[int]] = [[] for _ in range(n)]

@@ -14,8 +14,9 @@ Two text formats:
   survive a round trip; the parser honors the directive, an explicit n
   argument overrides it, and otherwise n is inferred as max id + 1.
 
-Parse errors carry the 1-based line number.  A vertex count over
-graph.MAX_VERTICES is an error; dimacs reports it at the `p` line.  Writers
+Parse errors carry the 1-based line number.  A vertex count outside
+1..graph.MAX_VERTICES is reported at the dimacs `p` line or the edgelist
+`# n` line, and a count from n or the largest id at the end.  Writers
 emit edges sorted, so output is canonical: parse(write(g)) == g for every
 graph.
 """
@@ -29,7 +30,7 @@ import re
 from dataclasses import fields
 from typing import Iterable, Iterator
 
-from .graph import Graph, GraphError, check_vertex_cap
+from .graph import Graph, GraphError, check_vertex_count
 from .harness import RatioReport
 from .solvers import IterationRecord, Mode, Solution
 
@@ -129,7 +130,7 @@ def _parse_dimacs_lines(text: str) -> Graph:
             n = _parse_int(fields[2], line_no, "vertex count")
             declared_m = _parse_int(fields[3], line_no, "edge count")
             try:
-                check_vertex_cap(n)
+                check_vertex_count(n)
             except GraphError as exc:
                 raise FormatError(line_no, str(exc)) from None
         elif fields[0] == "e":
@@ -178,6 +179,10 @@ def parse_edge_list(text: str, *, n: int | None = None) -> Graph:
             if len(fields) == 2 and fields[0] == "n" and directive_n is None:
                 try:
                     directive_n = int(fields[1])
+                    if n is None:  # an n argument overrides the directive
+                        check_vertex_count(directive_n)
+                except GraphError as exc:  # a ValueError too, so caught first
+                    raise FormatError(line_no, str(exc)) from None
                 except ValueError:
                     raise FormatError(line_no, f"bad n directive {line!r}") from None
             continue

@@ -6,8 +6,7 @@ score (solvers.step_arrivals is the rule).  The unit spent on iteration i is
 split evenly among its score(i) arrivals, so each arrival costs 1/score(i).
 This module replays a solution trace with the solver's own step
 (solvers.apply_step), rejects a trace whose recorded step differs from the
-replayed one, and exposes the three facts the analysis needs, each
-checkable in exact arithmetic:
+replayed one, and checks the three facts the analysis needs exactly:
 
 * sum identity: all per-arrival costs add up to exactly the solution size;
 * subset bound: the total charged to a vertex is at most the total it would
@@ -27,12 +26,14 @@ checks therefore sum exact Python ints (shares[i] = unit // scores[i]) and
 compare harmonic bounds by cross-multiplying; a Fraction is built only where
 the API returns one.  Floats only appear when comparing harmonic numbers
 against logarithms.
+audit() runs the sum identity and every vertex's neighborhood bound in one
+pass; check_subset_cost_bound is called per vertex and subset.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable
@@ -101,10 +102,12 @@ def check_harmonic_log_bound(x_max: int) -> bool:
     """Check H(x) <= ln(x) + 1 + LOG_BOUND_TOL for all 1 <= x <= x_max."""
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
-    h = Fraction(0)
+    unit = lcm_upto(x_max)
+    scaled = 0  # H(x) * unit, an exact integer
     for x in range(1, x_max + 1):
-        h += Fraction(1, x)
-        if float(h) > math.log(x) + 1 + LOG_BOUND_TOL:
+        scaled += unit // x
+        # int / int is correctly rounded, so this is float(H(x)) exactly.
+        if scaled / unit > math.log(x) + 1 + LOG_BOUND_TOL:
             return False
     return True
 
@@ -127,6 +130,10 @@ class CostLedger:
     unit exactly.  Both are derived from scores and the graph, never passed
     in; a score outside 1..max_degree + self_gain(mode, k, 0), which no
     greedy step can have, raises ValueError.
+
+    The one charge rule: v's own coverage costs a share per arrival, and w
+    in N[v] is charged for it a share of iteration min(joined[w],
+    covered_at(v)), the arrival w gave v or else the one that completed v.
     """
 
     mode: Mode
@@ -159,30 +166,6 @@ class CostLedger:
     def _covered_at(self, v: int) -> int:
         """covered_at without the range check, for callers that checked v."""
         return self.arrivals[v][-1]
-
-    def cost(self, v: int, w: int) -> Fraction:
-        """Cost of v's coverage charged to w, for w in N[v].
-
-        If w caused one of v's arrival events, the charge is one share of
-        that iteration's score; otherwise w is charged the default: one
-        share of the iteration that completed v's coverage.  Choosing w
-        gives v an arrival exactly when v is still uncovered, so both cases
-        are one share of iteration min(joined[w], covered_at(v)).  Raises
-        ValueError when v is outside 0..n-1 or w is not in N[v].
-        """
-        self.graph._check_vertex(v)
-        row = self.graph.adjacency[v]
-        i = bisect_left(row, w)
-        if w != v and (i == len(row) or row[i] != w):
-            raise ValueError(f"vertex {w} is not in the closed neighborhood of {v}")
-        return Fraction(1, self.scores[min(self.joined[w], self._covered_at(v)) - 1])
-
-    def own_cost_sum(self, v: int) -> Fraction:
-        """Total charged for v's own coverage: one share per arrival event.
-
-        Raises GraphError when v is outside 0..n-1."""
-        self.graph._check_vertex(v)
-        return Fraction(sum(self.shares[it - 1] for it in self.arrivals[v]), self.unit)
 
     def residual_sequence(self, w: int) -> tuple[int, ...]:
         """w's greedy score after each iteration: r_0 >= r_1 >= ... >= r_m = 0.
@@ -290,25 +273,25 @@ def check_subset_cost_bound(ledger: CostLedger, v: int, subset: Iterable[int]) -
         raise ValueError(f"subset {sorted(w_set)} is not within the closed neighborhood of {v}")
     if len(w_set) < ledger.k:
         raise ValueError(f"subset must have at least k={ledger.k} members, got {len(w_set)}")
-    rhs = sum((ledger.cost(v, w) for w in w_set), Fraction(0))
-    return ledger.own_cost_sum(v) <= rhs
+    shares, arrivals_v, joined = ledger.shares, ledger.arrivals[v], ledger.joined
+    own = sum(shares[it - 1] for it in arrivals_v)
+    return own <= sum(shares[min(joined[w], arrivals_v[-1]) - 1] for w in w_set)
 
 
 def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Fraction]:
     """(lhs, bound) for the per-vertex harmonic bound; lhs <= bound must hold.
 
-    lhs is the charge w takes: cost(v, w) for each neighbor v, plus w's
+    lhs is the charge w takes: its charge for each neighbor v, plus its
     self-charge.  For k-domination that is all of w's own coverage charge,
     since w's self-gain could settle every arrival w needs; otherwise it is
-    cost(w, w).  The bound is H(deg(w) + self_gain(mode, k, 0)), that is
-    H(deg(w) + 1), or H(deg(w) + k) for k-domination.  lhs is summed in
+    w's charge for itself.  The bound is H(deg(w) + self_gain(mode, k, 0)),
+    that is H(deg(w) + 1), or H(deg(w) + k) for k-domination.  lhs is summed in
     shares and divided by ledger.unit once.
     """
     g = ledger.graph
     g._check_vertex(w)
     shares, arrivals = ledger.shares, ledger.arrivals
     join_w = ledger.joined[w]
-    # cost(v, w) is one share of iteration min(joined[w], covered_at(v)).
     lhs = sum(shares[min(join_w, arrivals[v][-1]) - 1] for v in g.adjacency[w])
     if ledger.mode is Mode.KDOM:
         lhs += sum(shares[it - 1] for it in arrivals[w])
@@ -348,3 +331,17 @@ def check_residual_decomposition(ledger: CostLedger, w: int, lhs: Fraction) -> b
         and per_score <= per_residual
         and per_residual * h.denominator <= h.numerator * unit
     )
+
+
+def audit(ledger: CostLedger) -> tuple[bool, tuple[tuple[Fraction, Fraction], ...]]:
+    """(passed, rows): every vertex's (lhs, bound) neighborhood row, and
+    whether the sum identity holds and each row passes lhs <= bound and its
+    residual decomposition.  After the first failure the rows are still
+    computed, but no further decomposition is checked."""
+    passed = check_sum_identity(ledger) == len(ledger.scores)
+    rows = []
+    for w in range(ledger.graph.n):
+        lhs, bound = check_neighborhood_bound(ledger, w)
+        rows.append((lhs, bound))
+        passed = passed and lhs <= bound and check_residual_decomposition(ledger, w, lhs)
+    return passed, tuple(rows)

@@ -249,7 +249,7 @@ def test_n_rejected_for_dimacs_input(c6_path, capsys):
     [
         (["solve", "-", "--mode", "dom"], f"p edge {MAX_VERTICES + 1} 0\n", "line 1: "),
         (["solve", "-", "--mode", "dom", "--format", "edgelist"],
-         f"# n {MAX_VERTICES + 1}\n0 1\n", "line 3: "),
+         f"# n {MAX_VERTICES + 1}\n0 1\n", "line 1: "),
         (["solve", "-", "--mode", "dom", "--format", "edgelist"],
          f"0 {MAX_VERTICES}\n", "line 2: "),
         (["gen", "--family", "path", "--n", str(MAX_VERTICES + 1)], "", ""),

@@ -74,6 +74,8 @@ def test_dimacs_preserves_isolated_vertices():
         (f"p edge {MAX_VERTICES + 1} 0\n", 1),
         ("p edge " + "9" * 5000 + " 0\n", 1),
         (f"c big\np edge {MAX_VERTICES + 1} 0\ne 1 2\n", 2),
+        ("p edge 0 0\n", 1),  # no vertices
+        ("c none\np edge 0 0\ne 1 2\n", 2),
     ],
 )
 def test_dimacs_errors_carry_line_numbers(text, line_no):
@@ -194,6 +196,12 @@ def test_edge_list_round_trip_keeps_isolated_vertices():
         ("-1 2\n", 1),
         ("# n x\n0 1\n", 1),
         ("# just a comment\n", 1),  # nothing to infer n from
+        # A vertex count is reported at its directive; an inferred one at
+        # the end of the text.
+        ("# n 0\n0 1\n", 1),
+        ("# graph\n# n -3\n", 2),
+        (f"# n {MAX_VERTICES + 1}\n0 1\n", 1),
+        (f"0 1\n0 {MAX_VERTICES}\n", 3),
     ],
 )
 def test_edge_list_errors_carry_line_numbers(text, line_no):
@@ -210,6 +218,13 @@ def test_edge_list_errors_carry_line_numbers(text, line_no):
 def test_edge_list_vertex_cap(text):
     with pytest.raises(FormatError, match=f"exceed the cap of {MAX_VERTICES}"):
         parse_edge_list(text)
+
+
+def test_n_argument_overrides_the_directive_count_check():
+    assert parse_edge_list("# n -3\n0 1\n", n=5) == Graph(5, [(0, 1)])
+    # A bad count from the argument is reported at the end of the text.
+    with pytest.raises(FormatError, match="^line 3: graph needs at least one vertex, got n=0$"):
+        parse_edge_list("# n 2\n0 1\n", n=0)
 
 
 def test_edge_list_rejects_ids_beyond_declared_n():

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from multidom import (
     GraphError,
     KOutOfRangeError,
     Mode,
+    audit,
     build_ledger,
     check_harmonic_inequalities,
     check_harmonic_log_bound,
@@ -95,7 +97,7 @@ def test_dom_ledger_on_p3():
     sol = greedy_dominating_set(g)
     led = build_ledger(g, sol)
     for v in range(3):
-        assert led.cost(v, 1) == Fraction(1, 3)
+        assert _ref_cost(led, v, 1) == Fraction(1, 3)
     assert check_sum_identity(led) == 1
     lhs, bound = check_neighborhood_bound(led, 1)
     assert lhs == 1
@@ -109,7 +111,7 @@ def test_ktuple_ledger_on_star():
     # The first pick is the center with score 7; it contributes to every
     # vertex, so every cost charged to it is 1/7.
     for v in range(7):
-        assert led.cost(v, 0) == Fraction(1, 7)
+        assert _ref_cost(led, v, 0) == Fraction(1, 7)
     assert check_sum_identity(led) == 7
 
 
@@ -120,7 +122,7 @@ def test_kdom_ledger_on_star():
     # Iteration 1 places 8 tokens, so every cost referencing it is 1/8.
     assert sol.iterations[0].score == 8
     for v in range(7):
-        assert led.cost(v, 0) == Fraction(1, 8)
+        assert _ref_cost(led, v, 0) == Fraction(1, 8)
     assert check_sum_identity(led) == 7
 
 
@@ -271,7 +273,7 @@ def test_build_ledger_rejects_inadmissible_k():
 
 
 def _scanned_cost(sol, led, v, w):
-    """cost(v, w) by scanning v's arrivals for one that w caused."""
+    """_ref_cost(led, v, w) by scanning v's arrivals for one that w caused."""
     for it in led.arrivals[v]:
         if sol.chosen[it - 1] == w:
             return Fraction(1, led.scores[it - 1])
@@ -286,18 +288,18 @@ def test_cost_matches_arrival_scan(g):
         led = build_ledger(g, sol)
         for v in range(g.n):
             for w in g.closed_neighborhood(v):
-                assert led.cost(v, w) == _scanned_cost(sol, led, v, w)
+                assert _ref_cost(led, v, w) == _scanned_cost(sol, led, v, w)
 
 
 def test_cost_domain_checked():
     g = path(4)
     led = build_ledger(g, greedy_dominating_set(g))
     with pytest.raises(ValueError):
-        led.cost(0, 3)  # not adjacent
+        _ref_cost(led, 0, 3)  # not adjacent
     # Vertex ids outside 0..n-1 raise instead of indexing from the end.
     for v in (-1, -4, 4):
         with pytest.raises(ValueError):
-            led.cost(v, v)
+            _ref_cost(led, v, v)
         with pytest.raises(ValueError):
             led.residual_sequence(v)
         with pytest.raises(ValueError):
@@ -305,11 +307,11 @@ def test_cost_domain_checked():
         with pytest.raises(ValueError):
             check_residual_decomposition(led, v, Fraction(0))
         with pytest.raises(GraphError):
-            led.own_cost_sum(v)
+            _ref_own_cost_sum(led, v)
         with pytest.raises(GraphError):
             led.covered_at(v)
     with pytest.raises(ValueError):
-        led.cost(3, -1)  # w = -1 is no neighbour of 3, whatever it would index
+        _ref_cost(led, 3, -1)  # w = -1 is no neighbour of 3, whatever it would index
 
 
 def test_subset_bound_preconditions():
@@ -361,6 +363,32 @@ def test_audit_matches_pinned_digest():
 # -- the Fraction audit, kept as the reference of the integer one ---------------
 
 
+def _ref_cost(led, v, w):
+    """Cost of v's coverage charged to w, for w in N[v], as a Fraction.
+
+    If w caused one of v's arrival events, the charge is one share of that
+    iteration's score; otherwise w is charged the default: one share of the
+    iteration that completed v's coverage.  Choosing w gives v an arrival
+    exactly when v is still uncovered, so both cases are one share of
+    iteration min(joined[w], covered_at(v)).  Raises ValueError when v is
+    outside 0..n-1 or w is not in N[v].
+    """
+    led.graph._check_vertex(v)
+    row = led.graph.adjacency[v]
+    i = bisect_left(row, w)
+    if w != v and (i == len(row) or row[i] != w):
+        raise ValueError(f"vertex {w} is not in the closed neighborhood of {v}")
+    return Fraction(1, led.scores[min(led.joined[w], led.covered_at(v)) - 1])
+
+
+def _ref_own_cost_sum(led, v):
+    """Total charged for v's own coverage: 1/score per arrival event.
+
+    Raises GraphError when v is outside 0..n-1."""
+    led.graph._check_vertex(v)
+    return sum((Fraction(1, led.scores[it - 1]) for it in led.arrivals[v]), Fraction(0))
+
+
 def _ref_sum_identity(led):
     counts = [0] * len(led.scores)
     for its in led.arrivals:
@@ -372,11 +400,11 @@ def _ref_sum_identity(led):
 def _ref_neighborhood_bound(led, w):
     g = led.graph
     g._check_vertex(w)
-    lhs = sum((led.cost(v, w) for v in g.adjacency[w]), Fraction(0))
+    lhs = sum((_ref_cost(led, v, w) for v in g.adjacency[w]), Fraction(0))
     if led.mode is Mode.KDOM:
-        lhs += sum((Fraction(1, led.scores[it - 1]) for it in led.arrivals[w]), Fraction(0))
+        lhs += _ref_own_cost_sum(led, w)
     else:
-        lhs += led.cost(w, w)
+        lhs += _ref_cost(led, w, w)
     return lhs, harmonic(g.degree(w) + self_gain(led.mode, led.k, 0))
 
 
@@ -420,8 +448,11 @@ def test_integer_audit_matches_fraction_reference(g):
         led = build_ledger(g, sol)
         assert all(sh * s == led.unit for sh, s in zip(led.shares, led.scores))
         got = _audit(led, sol.size, INTEGER_AUDIT)
-        assert got == _audit(led, sol.size, FRACTION_AUDIT)
+        want = _audit(led, sol.size, FRACTION_AUDIT)
+        assert got == want
         assert got[2]
+        # audit() is the same pass: its verdict and (lhs, bound) rows.
+        assert audit(led) == (want[2], tuple((lhs, bound) for lhs, bound, _ in want[1]))
         assert isinstance(got[0], Fraction)
         assert all(isinstance(lhs, Fraction) for lhs, _, _ in got[1])
 
@@ -444,6 +475,7 @@ def test_forged_ledgers_rejected_by_both_paths(g):
             got = _audit(forged, sol.size, INTEGER_AUDIT)
             assert got == _audit(forged, sol.size, FRACTION_AUDIT)
             assert not got[2]
+            assert audit(forged)[0] is False
         # A wrong lhs fails the decomposition, however small the error.
         for w in range(g.n):
             lhs, _ = check_neighborhood_bound(led, w)
@@ -470,7 +502,7 @@ def test_sum_identity_everywhere(g):
         assert isinstance(total, Fraction)
         assert total == sol.size
         # The per-iteration grouping keeps the per-arrival total.
-        assert total == sum((led.own_cost_sum(v) for v in range(g.n)), Fraction(0))
+        assert total == sum((_ref_own_cost_sum(led, v) for v in range(g.n)), Fraction(0))
 
 
 @settings(deadline=None, max_examples=40)
@@ -494,6 +526,48 @@ def test_subset_bounds_exhaustive_small(g):
             for size in range(k, len(closed) + 1):
                 for subset in itertools.combinations(closed, size):
                     assert check_subset_cost_bound(led, v, subset)
+
+
+def _lowered_scores(led):
+    """led with one score s >= 2 lowered to s - 1, for each such score."""
+    for i, s in enumerate(led.scores):
+        if s >= 2:
+            yield dataclasses.replace(led, scores=led.scores[:i] + (s - 1,) + led.scores[i + 1:])
+
+
+def _subset_verdicts(led):
+    """(shares verdict, Fraction verdict) of the subset bound for every
+    subset of every N[v] with at least k members."""
+    for v in range(led.graph.n):
+        closed = sorted(led.graph.closed_neighborhood(v))
+        own = _ref_own_cost_sum(led, v)
+        costs = {w: _ref_cost(led, v, w) for w in closed}
+        for size in range(led.k, len(closed) + 1):
+            for subset in itertools.combinations(closed, size):
+                want = own <= sum((costs[w] for w in subset), Fraction(0))
+                yield check_subset_cost_bound(led, v, subset), want
+
+
+@settings(deadline=None, max_examples=25)
+@given(graphs(max_n=7))
+def test_subset_bound_matches_fraction_reference(g):
+    for mode, k in _solvable_modes(g):
+        led = build_ledger(g, solve(g, mode, k))
+        for ledger in (led, *_lowered_scores(led)):
+            for got, want in _subset_verdicts(ledger):
+                assert got is want
+
+
+def test_lowered_score_breaks_subset_bounds_on_both_paths():
+    for g in (C6, path(7), FORGE_GRAPHS[3]):
+        verdicts = [
+            pair
+            for mode, k in _solvable_modes(g)
+            for forged in _lowered_scores(build_ledger(g, solve(g, mode, k)))
+            for pair in _subset_verdicts(forged)
+        ]
+        assert all(got is want for got, want in verdicts)
+        assert (False, False) in verdicts
 
 
 @settings(deadline=None, max_examples=40)
