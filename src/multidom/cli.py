@@ -12,6 +12,7 @@ failed, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -128,7 +129,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(
         json.dumps(
             {
-                "mode": sol.mode.value,
+                "mode": sol.mode,
                 "k": sol.k,
                 "size": sol.size,
                 "chosen": list(sol.chosen),
@@ -142,18 +143,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     result = exact_minimum(g, Mode(args.mode), args.k, max_n=args.max_n)
-    print(
-        json.dumps(
-            {
-                "mode": result.mode.value,
-                "k": result.k,
-                "optimum": result.optimum,
-                "witness": list(result.witness),
-                "nodes_explored": result.nodes_explored,
-                "time_s": result.time_s,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(result)))
     return 0
 
 
@@ -162,7 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_instance(g, Mode(args.mode), args.k, max_n=args.max_n)
     doc = {
         "instance": report.instance_id,
-        "mode": report.mode.value,
+        "mode": report.mode,
         "k": report.k,
         "greedy_size": report.greedy_size,
         "exact_size": report.exact_size,
@@ -201,18 +191,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         with open(args.json, "w") as fh:
             fh.write(write_report_json(reports))
     summary = summarize(reports)
-    print(
-        json.dumps(
-            {
-                "reports": summary.reports,
-                "skipped": summary.skipped,
-                "max_ratio": summary.max_ratio,
-                "bound_violations": summary.bound_violations,
-                "ledger_failures": summary.ledger_failures,
-                "status": "pass" if summary.all_passed else "fail",
-            }
-        )
-    )
+    status = "pass" if summary.all_passed else "fail"
+    print(json.dumps({**dataclasses.asdict(summary), "status": status}))
     return 0 if summary.all_passed else 1
 
 

@@ -61,9 +61,6 @@ class Graph:
 
     # -- basic queries ------------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Distinct edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):

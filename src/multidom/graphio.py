@@ -11,8 +11,9 @@ Two text formats:
   graph and is the only source of error messages.
 * edgelist: `#` comment lines and `u v` pairs with 0-based endpoints.  The
   writer emits a leading `# n <n>` directive so isolated trailing vertices
-  survive a round trip; the parser honors the directive, an explicit n
-  argument overrides it, and otherwise n is inferred as max id + 1.
+  survive a round trip; the parser honors the directive, rejects a second
+  one, lets an explicit n argument override it, and otherwise infers n as
+  max id + 1.
 
 Parse errors carry the 1-based line number.  A vertex count outside
 1..graph.MAX_VERTICES is reported at the dimacs `p` line or the edgelist
@@ -176,7 +177,9 @@ def parse_edge_list(text: str, *, n: int | None = None) -> Graph:
             continue
         if line.startswith("#"):
             fields = line[1:].split()
-            if len(fields) == 2 and fields[0] == "n" and directive_n is None:
+            if len(fields) == 2 and fields[0] == "n":
+                if directive_n is not None:
+                    raise FormatError(line_no, "duplicate n directive")
                 try:
                     directive_n = int(fields[1])
                     if n is None:  # an n argument overrides the directive
@@ -220,7 +223,7 @@ def write_edge_list(g: Graph) -> str:
 def solution_to_dict(sol: Solution) -> dict:
     n, m, digest = sol.graph_fingerprint
     return {
-        "mode": sol.mode.value,
+        "mode": sol.mode,
         "k": sol.k,
         "n": n,
         "m": m,
@@ -263,11 +266,7 @@ def solution_from_dict(doc: dict, fingerprint: tuple[int, int, str]) -> Solution
 
 
 def report_to_dict(report: RatioReport) -> dict:
-    doc = {}
-    for col in CSV_COLUMNS:
-        value = getattr(report, col)
-        doc[col] = value.value if isinstance(value, Mode) else value
-    return doc
+    return {col: getattr(report, col) for col in CSV_COLUMNS}
 
 
 def write_report_csv(reports: Iterable[RatioReport]) -> str:
@@ -289,8 +288,6 @@ def write_report_json(reports: Iterable[RatioReport]) -> str:
 def _cell(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, Mode):
-        return value.value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -77,8 +77,8 @@ class RatioReport:
     greedy_iterations: int | None = None
     ledger_rows: tuple[tuple[Fraction, Fraction], ...] = ()
 
-    def sort_key(self) -> tuple[str, str, int]:
-        return (self.instance_id, self.mode.value, self.k)
+    def sort_key(self) -> tuple[str, Mode, int]:
+        return (self.instance_id, self.mode, self.k)
 
 
 @dataclass(frozen=True)
@@ -273,22 +273,21 @@ def check_ratio_improvement(delta_max: int) -> bool:
 class GapWitnessCheck:
     """Two-step replay of the k-tuple selection rule on a witness graph.
 
-    On a graph whose vertex `center` has the strictly largest closed
-    neighborhood and with multiplicity k >= 2, the first selection must be
-    the center, nothing is fully covered afterwards, and the second
-    selection therefore scores strictly below the center's still-uncovered
-    closed neighborhood.  `holds` records that this all happened.  Only two
-    selections are replayed, so this applies for any k >= 2 even where a
-    full k-tuple run would be infeasible.
+    On a graph with multiplicity k >= 2, the first selection is the vertex
+    with the largest closed neighborhood (the smallest id among ties), and
+    it fully covers nothing, so the second selection scores its own closed
+    neighborhood again.  `holds` records that the second score is strictly
+    below the first, which happens exactly when the first choice's closed
+    neighborhood is the unique largest.  Only two selections are replayed,
+    so this applies for any k >= 2 even where a full k-tuple run would be
+    infeasible.
     """
 
     k: int
-    center: int
     first_choice: int
     first_score: int
     second_choice: int
     second_score: int
-    center_potential: int
     holds: bool
 
 
@@ -300,23 +299,16 @@ def gap_witness_check(g: Graph, k: int) -> GapWitnessCheck:
         raise ValueError(f"the gap scenario needs at least 2 vertices, got n={g.n}")
     sizes = [len(row) + 1 for row in g.adjacency]
     first = max(range(g.n), key=lambda v: (sizes[v], -v))
-    unique = sum(1 for s in sizes if s == sizes[first]) == 1
     # With k >= 2 a single selection fully covers nothing, so every
     # second-step score is just the closed neighborhood size again.
-    second_scores = {v: sizes[v] for v in range(g.n) if v != first}
-    best_second = max(second_scores.values())
-    second = min(v for v in second_scores if second_scores[v] == best_second)
-    center_potential = sizes[first]
-    holds = unique and second_scores[second] < center_potential
+    second = max((v for v in range(g.n) if v != first), key=lambda v: (sizes[v], -v))
     return GapWitnessCheck(
         k=k,
-        center=first,
         first_choice=first,
         first_score=sizes[first],
         second_choice=second,
-        second_score=second_scores[second],
-        center_potential=center_potential,
-        holds=holds,
+        second_score=sizes[second],
+        holds=sizes[second] < sizes[first],
     )
 
 

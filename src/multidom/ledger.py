@@ -282,9 +282,11 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Frac
     """(lhs, bound) for the per-vertex harmonic bound; lhs <= bound must hold.
 
     lhs is the charge w takes: its charge for each neighbor v, plus its
-    self-charge.  For k-domination that is all of w's own coverage charge,
-    since w's self-gain could settle every arrival w needs; otherwise it is
-    w's charge for itself.  The bound is H(deg(w) + self_gain(mode, k, 0)),
+    self-charge, one charge per arrival that w's self-gain could settle,
+    that is for its last self_gain(mode, k, 0) arrivals.  For k-domination
+    those are all k of w's arrivals, each at or before joined[w], so the
+    self-charge is all of w's own coverage charge; otherwise it is the one
+    charge for covered_at(w).  The bound is H(deg(w) + self_gain(mode, k, 0)),
     that is H(deg(w) + 1), or H(deg(w) + k) for k-domination.  lhs is summed in
     shares and divided by ledger.unit once.
     """
@@ -292,13 +294,10 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Frac
     g._check_vertex(w)
     shares, arrivals = ledger.shares, ledger.arrivals
     join_w = ledger.joined[w]
+    gain = self_gain(ledger.mode, ledger.k, 0)
     lhs = sum(shares[min(join_w, arrivals[v][-1]) - 1] for v in g.adjacency[w])
-    if ledger.mode is Mode.KDOM:
-        lhs += sum(shares[it - 1] for it in arrivals[w])
-    else:
-        lhs += shares[min(join_w, arrivals[w][-1]) - 1]
-    bound = harmonic(g.degree(w) + self_gain(ledger.mode, ledger.k, 0))
-    return Fraction(lhs, ledger.unit), bound
+    lhs += sum(shares[min(join_w, it) - 1] for it in arrivals[w][-gain:])
+    return Fraction(lhs, ledger.unit), harmonic(g.degree(w) + gain)
 
 
 def check_residual_decomposition(ledger: CostLedger, w: int, lhs: Fraction) -> bool:

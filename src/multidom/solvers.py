@@ -61,14 +61,17 @@ class KOutOfRangeError(ValueError):
     """Raised when a coverage multiplicity k is invalid for the variant."""
 
 
-class Mode(enum.Enum):
-    """Problem variant identifiers, also used in CLI and report documents."""
+class Mode(str, enum.Enum):
+    """Problem variant identifiers, also used in CLI and report documents.
+
+    A Mode is a str equal to its value, so JSON and CSV render it as
+    "dom", "ktuple" or "kdom" and Mode.DOM == "dom" holds."""
 
     DOM = "dom"
     KTUPLE = "ktuple"
     KDOM = "kdom"
 
-    def __str__(self) -> str:  # CSV/CLI rendering
+    def __str__(self) -> str:  # str() and f-strings give the value on every Python
         return self.value
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -52,11 +53,18 @@ def test_solve(c6_path, capsys, tmp_path):
         ["solve", c6_path, "--mode", "kdom", "--k", "2", "--trace", str(trace)]
     )
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["mode"] == "kdom"
+    out = capsys.readouterr().out
+    assert out.startswith('{"mode": "kdom", "k": 2, ')
+    doc = json.loads(out)
+    assert list(doc) == ["mode", "k", "size", "chosen", "trivial"]
     assert doc["size"] == len(doc["chosen"])
     assert not doc["trivial"]
-    trace_doc = json.loads(trace.read_text())
+    trace_text = trace.read_text()
+    assert trace_text.startswith('{\n  "mode": "kdom",\n  "k": 2,\n')
+    trace_doc = json.loads(trace_text)
+    assert list(trace_doc) == [
+        "mode", "k", "n", "m", "graph_digest", "trivial", "chosen", "iterations"
+    ]
     assert len(trace_doc["iterations"]) == doc["size"]
     assert trace_doc["chosen"] == doc["chosen"]
 
@@ -77,7 +85,10 @@ def test_solve_k_out_of_range(c6_path, capsys):
 
 def test_exact(c6_path, capsys):
     assert main(["exact", c6_path, "--mode", "dom"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.startswith('{"mode": "dom", "k": 1, ')
+    doc = json.loads(out)
+    assert list(doc) == ["mode", "k", "optimum", "witness", "nodes_explored", "time_s"]
     assert doc["optimum"] == 2
     assert len(doc["witness"]) == 2
 
@@ -90,7 +101,13 @@ def test_exact_over_cap(c6_path, capsys):
 def test_verify(c6_path, capsys):
     for mode, k in ((Mode.DOM, 1), (Mode.KTUPLE, 2), (Mode.KDOM, 2)):
         assert main(["verify", c6_path, "--mode", mode.value, "--k", str(k)]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert f'\n  "mode": "{mode.value}",\n' in out
+        doc = json.loads(out)
+        assert list(doc) == [
+            "instance", "mode", "k", "greedy_size", "exact_size", "ratio", "bound",
+            "bound_satisfied", "ledger_checks_passed", "trivial", "skip_reason", "ledger",
+        ]
         assert doc["ledger_checks_passed"] is True
         assert doc["bound_satisfied"] is True
         assert len(doc["ledger"]) == 6
@@ -137,12 +154,17 @@ def test_bench_custom_corpus(tmp_path, capsys):
     )
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
+    assert list(summary) == [
+        "reports", "skipped", "max_ratio", "bound_violations", "ledger_failures", "status"
+    ]
     assert summary["status"] == "pass"
     assert summary["reports"] == 3
     assert summary["bound_violations"] == 0
     csv_lines = csv_path.read_text().splitlines()
     assert len(csv_lines) == 4  # header + 3 reports
     assert csv_lines[0].startswith("instance_id,family,seed,")
+    rows = csv.DictReader(csv_lines)
+    assert [row["mode"] for row in rows] == ["dom", "ktuple", "kdom"]
     docs = json.loads(json_path.read_text())
     assert {d["instance_id"] for d in docs} == {
         "cycle(n=8)", "star(n=8)", "erdos_renyi(n=8,p=0.4,seed=1)"
@@ -237,6 +259,14 @@ def test_bad_graph_file_is_usage_error(tmp_path, capsys):
     path.write_text("p edge 3 1\ne 1 9\n")
     assert main(["solve", str(path), "--mode", "dom"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_duplicate_n_directive_is_usage_error(monkeypatch, capsys):
+    import io
+    import sys
+    monkeypatch.setattr(sys, "stdin", io.StringIO("# n 3\n# n 5\n0 1\n"))
+    assert main(["verify", "-", "--mode", "dom", "--format", "edgelist"]) == 2
+    assert capsys.readouterr().err == "error: line 2: duplicate n directive\n"
 
 
 def test_n_rejected_for_dimacs_input(c6_path, capsys):

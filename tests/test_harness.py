@@ -218,7 +218,6 @@ def test_gap_witness_check_on_stars():
         assert check.first_choice == 0
         assert check.first_score == 3 * k + 1
         assert check.second_score == 2
-        assert check.center_potential == 3 * k + 1
 
 
 def test_gap_witness_check_negative_cases():

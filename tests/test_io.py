@@ -227,6 +227,14 @@ def test_n_argument_overrides_the_directive_count_check():
         parse_edge_list("# n 2\n0 1\n", n=0)
 
 
+def test_edge_list_rejects_a_second_n_directive():
+    # A later directive is not a comment: it would silently lose to the first.
+    with pytest.raises(FormatError, match="^line 2: duplicate n directive$"):
+        parse_edge_list(f"# n 3\n# n {MAX_VERTICES + 1}\n0 1\n")
+    with pytest.raises(FormatError, match="^line 3: duplicate n directive$"):
+        parse_edge_list("# n 3\n0 1\n# n 3\n", n=5)
+
+
 def test_edge_list_rejects_ids_beyond_declared_n():
     with pytest.raises(FormatError):
         parse_edge_list("# n 2\n0 5\n")
@@ -257,6 +265,14 @@ def test_solution_dict_round_trip():
     assert restored == sol
     assert doc["graph_digest"] == g.fingerprint()[2]
     assert doc["mode"] == "kdom"
+
+
+def test_mode_renders_as_its_value():
+    assert json.dumps(Mode.KDOM) == '"kdom"'
+    assert json.dumps({"mode": Mode.DOM}, indent=2) == '{\n  "mode": "dom"\n}'
+    assert [str(m) for m in Mode] == [f"{m}" for m in Mode] == ["dom", "ktuple", "kdom"]
+    assert Mode("ktuple") is Mode.KTUPLE and Mode.KTUPLE.value == "ktuple"
+    assert Mode.DOM == "dom"
 
 
 def _sample_reports():
