@@ -197,6 +197,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
+    if args.gap_k_max < 2:
+        raise ValueError(f"gap_k_max must be >= 2, got {args.gap_k_max}")
     checks = {
         "harmonic_inequalities": check_harmonic_inequalities(args.x_max),
         "ratio_improvement": check_ratio_improvement(args.delta_max),

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .graph import Graph
-from .solvers import Mode, check_k, satisfies, self_gain
+from .solvers import Mode, check_k, is_trivial, satisfies, self_gain
 
 DEFAULT_MAX_N = 24
 NAIVE_MAX_N = 8
@@ -83,9 +83,7 @@ def exact_minimum(g: Graph, mode: Mode, k: int = 1, *, max_n: int = DEFAULT_MAX_
     """
     _check_instance(g, mode, k, max_n)
     start = time.perf_counter()
-    if mode is Mode.KDOM and k > g.max_degree():
-        # No vertex outside the set can collect k chosen neighbors, so the
-        # whole vertex set is the unique solution.
+    if is_trivial(g, mode, k):
         return ExactResult(
             mode=mode,
             k=k,

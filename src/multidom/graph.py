@@ -1,4 +1,4 @@
-"""Immutable undirected graphs on vertex ids 0..n-1, plus domination validators.
+"""Immutable undirected graphs on vertex ids 0..n-1.
 
 Vertices are plain ints.  A graph's only neighbourhood state is adjacency, one
 ascending tuple of neighbour ids per vertex; neighbors() and
@@ -8,7 +8,6 @@ closed_neighborhood() build their frozensets from it when called.
 from __future__ import annotations
 
 import hashlib
-from itertools import compress
 from typing import Iterable, Iterator
 
 # The most vertices a Graph may have.  Graph() checks it before any
@@ -88,35 +87,6 @@ class Graph:
         self._check_vertex(v)
         return frozenset((v, *self.adjacency[v]))
 
-    # -- domination validators ----------------------------------------------
-
-    def is_dominating(self, xs: Iterable[int]) -> bool:
-        """True iff every vertex is in xs or adjacent to a member of xs."""
-        mark, count = self._chosen_counts(xs)
-        return all(mark[v] or count[v] for v in range(self.n))
-
-    def is_k_dominating(self, k: int, xs: Iterable[int]) -> bool:
-        """True iff every vertex outside xs has at least k neighbors in xs.
-
-        Members of xs carry no requirement.  Defined for every k >= 1.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        mark, count = self._chosen_counts(xs)
-        return all(mark[v] or count[v] >= k for v in range(self.n))
-
-    def is_ktuple_dominating(self, k: int, xs: Iterable[int]) -> bool:
-        """True iff every vertex has at least k of its closed neighborhood in xs.
-
-        A member of xs counts toward its own requirement.  Only satisfiable
-        when every vertex has closed neighborhood of size >= k, i.e. when
-        k <= min_degree + 1.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        mark, count = self._chosen_counts(xs)
-        return all(count[v] + mark[v] >= k for v in range(self.n))
-
     # -- identity ------------------------------------------------------------
 
     def fingerprint(self) -> tuple[int, int, str]:
@@ -147,15 +117,3 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
-
-    def _chosen_counts(self, xs: Iterable[int]) -> tuple[bytearray, list[int]]:
-        """mark[v] = 1 iff v is in xs, and count[v] = #neighbors of v in xs: O(n + m)."""
-        mark = bytearray(self.n)
-        for x in xs:
-            self._check_vertex(x)
-            mark[x] = 1
-        count = [0] * self.n
-        for row in compress(self.adjacency, mark):
-            for u in row:
-                count[u] += 1
-        return mark, count

@@ -208,8 +208,10 @@ def run_corpus(
     (instance_id, mode, k) regardless of jobs, so output is reproducible
     whether or not the run was parallel.  A spec its generator rejects
     raises ValueError naming the index of its first entry, as
-    "corpus entry <i>: ...".
+    "corpus entry <i>: ...".  Raises ValueError for jobs < 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if entries is None:
         entries = default_corpus()
     if not entries:
@@ -218,7 +220,7 @@ def run_corpus(
     for i, e in enumerate(entries):
         by_spec.setdefault(e.spec, (i, []))[1].append(e)
     groups = [(first, group, max_n) for first, group in by_spec.values()]
-    if jobs <= 1:
+    if jobs == 1:
         results = map(_run_spec, groups)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graph import Graph
-from .solvers import Mode, Solution, apply_step, check_k, self_gain
+from .solvers import Mode, Solution, apply_step, check_k, is_trivial, self_gain
 
 _HARMONIC_CACHE: list[Fraction] = [Fraction(0)]
 
@@ -194,9 +194,10 @@ class CostLedger:
 def build_ledger(g: Graph, sol: Solution) -> CostLedger:
     """Replay a solution trace with the solver's own step.
 
-    Validates that the trace belongs to g and admits its k, and that chosen
-    lists the iteration vertices in order without repeats.  Each iteration
-    vertex must be in 0..n-1; solvers.apply_step then replays its step,
+    Validates that the trace belongs to g and admits its k, that its trivial
+    flag equals solvers.is_trivial for them, and that chosen lists the
+    iteration vertices in order without repeats.  Each iteration vertex
+    must be in 0..n-1; solvers.apply_step then replays its step,
     which must cause at least one arrival, and the recorded IterationRecord
     must equal the replayed one, or the error names the first field that
     differs.  Every vertex must end with exactly k arrivals.
@@ -204,6 +205,8 @@ def build_ledger(g: Graph, sol: Solution) -> CostLedger:
     if sol.graph_fingerprint != g.fingerprint():
         raise ValueError("solution trace does not match this graph")
     check_k(g, sol.mode, sol.k)
+    if sol.trivial != is_trivial(g, sol.mode, sol.k):
+        raise ValueError(f"solution flag trivial={sol.trivial} does not match this instance")
     if sol.chosen != tuple(rec.vertex for rec in sol.iterations):
         raise ValueError("solution chosen order does not match its iteration vertices")
     if len(set(sol.chosen)) != len(sol.chosen):

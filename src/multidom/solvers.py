@@ -16,12 +16,12 @@ score(v) = #uncovered neighbors of v + (the self-gain if v is uncovered).
 Each decision is stated once, here, and used elsewhere instead of a test of
 the mode: self_gain() and step_arrivals() state the rule; apply_step()
 makes one step and its IterationRecord, which solve() runs for every pick
-and the ledger audit replays over a trace; satisfies() picks each mode's
-validator for is_valid_solution() and the naive exact oracle.
+and the ledger audit replays over a trace; satisfies() checks a set by the
+same arrivals, for is_valid_solution() and the naive exact oracle.
 
 k-tuple domination needs k <= min_degree + 1 (some closed neighborhood is
 otherwise too small); k-domination accepts every k >= 1 and is trivial, with
-all of V chosen, when k > max_degree.
+all of V chosen, when k > max_degree (is_trivial()).
 
 solve() finds each pick with a lazy max-heap (the accelerated greedy of
 Minoux, 1978) instead of re-scoring every vertex: it re-scores only the top
@@ -139,6 +139,12 @@ def check_k(g: Graph, mode: Mode, k: int) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def is_trivial(g: Graph, mode: Mode, k: int) -> bool:
+    """True iff all of V is the only solution: k-domination with
+    k > max_degree, where no vertex outside the set can collect k arrivals."""
+    return mode is Mode.KDOM and k > g.max_degree()
+
+
 def self_gain(mode: Mode, k: int, count: int) -> int:
     """Arrivals an uncovered vertex with count arrivals gives itself when
     chosen: all k - count it lacks for k-domination, one otherwise."""
@@ -205,7 +211,7 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
         chosen=tuple(rec.vertex for rec in records),
         iterations=tuple(records),
         graph_fingerprint=g.fingerprint(),
-        trivial=kdom and k > g.max_degree(),
+        trivial=is_trivial(g, mode, k),
     )
 
 
@@ -232,30 +238,23 @@ def apply_step(
     )
 
 
-def greedy_dominating_set(g: Graph) -> Solution:
-    """Greedy dominating set; approximation factor ln(max_degree + 1) + 1."""
-    return solve(g, Mode.DOM)
-
-
-def greedy_ktuple_dominating_set(g: Graph, k: int) -> Solution:
-    """Greedy k-tuple dominating set, for 1 <= k <= min_degree + 1;
-    approximation factor ln(max_degree + 1) + 1."""
-    return solve(g, Mode.KTUPLE, k)
-
-
-def greedy_kdominating_set(g: Graph, k: int) -> Solution:
-    """Greedy k-dominating set, for k >= 1; approximation factor
-    ln(max_degree + k) + 1.  The result is trivial when k > max_degree."""
-    return solve(g, Mode.KDOM, k)
-
-
 def satisfies(g: Graph, mode: Mode, k: int, xs: Iterable[int]) -> bool:
-    """True iff xs meets mode's requirement with multiplicity k on g."""
-    if mode is Mode.DOM:
-        return g.is_dominating(xs)
-    if mode is Mode.KTUPLE:
-        return g.is_ktuple_dominating(k, xs)
-    return g.is_k_dominating(k, xs)
+    """True iff xs meets mode's requirement with multiplicity k on g, by
+    solve()'s arrival rule: each member of xs gives self_gain(mode, k, 0)
+    arrivals to itself and one to each neighbor, and every vertex needs k.
+    Order and repeats in xs do not matter.
+
+    Raises KOutOfRangeError for k < 1 and for plain domination with k != 1,
+    and GraphError for a member outside 0..n-1.
+    """
+    if k < 1 or mode is Mode.DOM:  # a k-tuple k above min_degree + 1 is just unmet
+        check_k(g, mode, k)
+    count = [0] * g.n
+    for x in set(xs):
+        for u in g.neighbors(x):
+            count[u] += 1
+        count[x] += self_gain(mode, k, 0)
+    return min(count) >= k
 
 
 def is_valid_solution(g: Graph, sol: Solution) -> bool:

@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 
-from multidom import Graph
+from multidom import Graph, Mode
 
 
 @st.composite
@@ -18,3 +18,33 @@ def graphs(draw, min_n: int = 1, max_n: int = 10):
 @st.composite
 def vertex_subsets(draw, g: Graph):
     return frozenset(draw(st.lists(st.integers(0, g.n - 1), unique=True)))
+
+
+# Frozenset references for the three coverage requirements, written from
+# their definitions and sharing no code with multidom.satisfies.
+def ref_is_dominating(g, xset):
+    """Every vertex is in xset or adjacent to a member."""
+    return all(v in xset or frozenset(g.adjacency[v]) & xset for v in range(g.n))
+
+
+def ref_is_k_dominating(g, k, xset):
+    """Every vertex outside xset has at least k neighbors in xset."""
+    return all(
+        v in xset or len(frozenset(g.adjacency[v]) & xset) >= k for v in range(g.n)
+    )
+
+
+def ref_is_ktuple_dominating(g, k, xset):
+    """Every closed neighborhood holds at least k members of xset."""
+    return all(
+        len(frozenset(g.adjacency[v]) & xset) + (1 if v in xset else 0) >= k
+        for v in range(g.n)
+    )
+
+
+def ref_satisfies(g, mode, k, xset):
+    if mode is Mode.DOM:
+        return ref_is_dominating(g, xset)
+    if mode is Mode.KTUPLE:
+        return ref_is_ktuple_dominating(g, k, xset)
+    return ref_is_k_dominating(g, k, xset)

@@ -293,3 +293,21 @@ def test_vertex_cap_is_usage_error(monkeypatch, capsys, argv, text, where):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: {where}{MAX_VERTICES + 1} vertices exceed the cap of {MAX_VERTICES}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bench", "--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["bench", "--jobs", "-4"], "jobs must be >= 1, got -4"),
+        (["selfcheck", "--gap-k-max", "1"], "gap_k_max must be >= 2, got 1"),
+        (["selfcheck", "--gap-k-max", "-3"], "gap_k_max must be >= 2, got -3"),
+        (["selfcheck", "--x-max", "0"], "x_max must be >= 1, got 0"),
+        (["selfcheck", "--delta-max", "0"], "delta_max must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_limits_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

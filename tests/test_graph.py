@@ -2,30 +2,18 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from multidom import MAX_VERTICES, Graph, GraphError
-from conftest import graphs, vertex_subsets
+from multidom import MAX_VERTICES, Graph, GraphError, KOutOfRangeError, Mode, satisfies
+from conftest import (
+    graphs,
+    ref_is_dominating,
+    ref_is_k_dominating,
+    ref_is_ktuple_dominating,
+    vertex_subsets,
+)
 
 
-# Reference: the frozenset-based validators that the adjacency scan replaced.
 def _ref_closed(g, v):
     return frozenset(g.adjacency[v]) | {v}
-
-
-def _ref_is_dominating(g, xset):
-    return all(v in xset or frozenset(g.adjacency[v]) & xset for v in range(g.n))
-
-
-def _ref_is_k_dominating(g, k, xset):
-    return all(
-        v in xset or len(frozenset(g.adjacency[v]) & xset) >= k for v in range(g.n)
-    )
-
-
-def _ref_is_ktuple_dominating(g, k, xset):
-    return all(
-        len(frozenset(g.adjacency[v]) & xset) + (1 if v in xset else 0) >= k
-        for v in range(g.n)
-    )
 
 
 def test_basic_counts():
@@ -96,54 +84,61 @@ def test_neighborhoods():
         g.neighbors(4)
 
 
+# -- satisfies: solve()'s arrival rule applied to a given set --------------------
+
+
 def test_validators_on_known_sets():
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert c4.is_dominating({0, 2})
-    assert not c4.is_dominating({0})
-    assert c4.is_dominating({0, 1})
+    assert satisfies(c4, Mode.DOM, 1, {0, 2})
+    assert not satisfies(c4, Mode.DOM, 1, {0})
+    assert satisfies(c4, Mode.DOM, 1, {0, 1})
 
     star = Graph(7, [(0, i) for i in range(1, 7)])
-    assert star.is_k_dominating(2, set(range(1, 7)))
-    assert not star.is_k_dominating(2, {0, 1, 2, 3, 4})
-    assert star.is_ktuple_dominating(2, set(range(7)))
-    assert not star.is_ktuple_dominating(2, set(range(1, 7)))
+    assert satisfies(star, Mode.KDOM, 2, set(range(1, 7)))
+    assert not satisfies(star, Mode.KDOM, 2, {0, 1, 2, 3, 4})
+    assert satisfies(star, Mode.KTUPLE, 2, set(range(7)))
+    assert not satisfies(star, Mode.KTUPLE, 2, set(range(1, 7)))
 
 
 def test_validator_k_validation():
     g = Graph(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        g.is_k_dominating(0, {0})
-    with pytest.raises(ValueError):
-        g.is_ktuple_dominating(-1, {0})
-    with pytest.raises(GraphError):
-        g.is_dominating({5})
+    for mode in Mode:
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                satisfies(g, mode, k, {0})
+        for bad in (2, 5, -1):  # -1 must not index vertex 1
+            with pytest.raises(GraphError):
+                satisfies(g, mode, 1, {0, bad})
+    # Plain domination has no multiplicity, as in check_k.
+    with pytest.raises(KOutOfRangeError, match="plain domination"):
+        satisfies(g, Mode.DOM, 2, {0, 1})
 
 
 def test_whole_vertex_set_always_works():
     g = Graph(5, [(0, 1), (2, 3)])
     everything = set(range(5))
-    assert g.is_dominating(everything)
-    assert g.is_k_dominating(3, everything)  # membership absolves
+    assert satisfies(g, Mode.DOM, 1, everything)
+    assert satisfies(g, Mode.KDOM, 3, everything)  # membership absolves
     # k-tuple with k=1 only: vertex 4 is isolated.
-    assert g.is_ktuple_dominating(1, everything)
-    assert not g.is_ktuple_dominating(2, everything)
+    assert satisfies(g, Mode.KTUPLE, 1, everything)
+    assert not satisfies(g, Mode.KTUPLE, 2, everything)
 
 
 @given(graphs())
 def test_k1_validators_agree(g):
     xs = frozenset(range(0, g.n, 2))
-    assert g.is_k_dominating(1, xs) == g.is_dominating(xs)
-    assert g.is_ktuple_dominating(1, xs) == g.is_dominating(xs)
+    assert satisfies(g, Mode.KDOM, 1, xs) == satisfies(g, Mode.DOM, 1, xs)
+    assert satisfies(g, Mode.KTUPLE, 1, xs) == satisfies(g, Mode.DOM, 1, xs)
 
 
 @given(st.data(), graphs(), st.integers(1, 4))
 def test_validators_match_frozenset_reference(data, g, k):
     xset = data.draw(vertex_subsets(g))
-    # Duplicates and order in xs must not matter.
+    # Duplicates and order in xs must not matter, nor may a one-pass iterator.
     xs = sorted(xset, reverse=True) * 2
-    assert g.is_dominating(xs) == _ref_is_dominating(g, xset)
-    assert g.is_k_dominating(k, xs) == _ref_is_k_dominating(g, k, xset)
-    assert g.is_ktuple_dominating(k, xs) == _ref_is_ktuple_dominating(g, k, xset)
+    assert satisfies(g, Mode.DOM, 1, xs) == ref_is_dominating(g, xset)
+    assert satisfies(g, Mode.KDOM, k, xs) == ref_is_k_dominating(g, k, xset)
+    assert satisfies(g, Mode.KTUPLE, k, iter(xs)) == ref_is_ktuple_dominating(g, k, xset)
     for v in range(g.n):
         assert g.neighbors(v) == frozenset(g.adjacency[v])
         assert g.closed_neighborhood(v) == _ref_closed(g, v)
@@ -153,8 +148,8 @@ def test_validators_match_frozenset_reference(data, g, k):
 def test_ktuple_implies_k_dominating(g, k):
     xs = frozenset(range(g.n))  # largest candidate; then shrink by parity
     for cand in (xs, frozenset(v for v in xs if v % 2)):
-        if g.is_ktuple_dominating(k, cand):
-            assert g.is_k_dominating(k, cand)
+        if satisfies(g, Mode.KTUPLE, k, cand):
+            assert satisfies(g, Mode.KDOM, k, cand)
 
 
 def test_fingerprint_and_equality():

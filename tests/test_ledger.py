@@ -27,9 +27,6 @@ from multidom import (
     check_sum_identity,
     default_corpus,
     generate,
-    greedy_dominating_set,
-    greedy_kdominating_set,
-    greedy_ktuple_dominating_set,
     harmonic,
     self_gain,
     solve,
@@ -94,7 +91,7 @@ def test_harmonic_difference_bound_by_hand():
 
 def test_dom_ledger_on_p3():
     g = path(3)
-    sol = greedy_dominating_set(g)
+    sol = solve(g, Mode.DOM)
     led = build_ledger(g, sol)
     for v in range(3):
         assert _ref_cost(led, v, 1) == Fraction(1, 3)
@@ -106,7 +103,7 @@ def test_dom_ledger_on_p3():
 
 def test_ktuple_ledger_on_star():
     g = star(6)
-    sol = greedy_ktuple_dominating_set(g, 2)
+    sol = solve(g, Mode.KTUPLE, 2)
     led = build_ledger(g, sol)
     # The first pick is the center with score 7; it contributes to every
     # vertex, so every cost charged to it is 1/7.
@@ -117,7 +114,7 @@ def test_ktuple_ledger_on_star():
 
 def test_kdom_ledger_on_star():
     g = star(6)
-    sol = greedy_kdominating_set(g, 2)
+    sol = solve(g, Mode.KDOM, 2)
     led = build_ledger(g, sol)
     # Iteration 1 places 8 tokens, so every cost referencing it is 1/8.
     assert sol.iterations[0].score == 8
@@ -128,7 +125,7 @@ def test_kdom_ledger_on_star():
 
 def test_arrival_bookkeeping():
     g = star(6)
-    sol = greedy_ktuple_dominating_set(g, 2)
+    sol = solve(g, Mode.KTUPLE, 2)
     led = build_ledger(g, sol)
     # Center: covered once vertex 1 joins (its 2nd closed-neighborhood pick).
     assert led.arrivals[0] == (1, 2)
@@ -137,7 +134,7 @@ def test_arrival_bookkeeping():
     # Leaf 6 waits for its own selection.
     assert led.arrivals[6] == (1, 7)
     assert tuple(sol.chosen[it - 1] for it in led.arrivals[6]) == (0, 6)
-    sol2 = greedy_kdominating_set(g, 2)
+    sol2 = solve(g, Mode.KDOM, 2)
     led2 = build_ledger(g, sol2)
     # KDOM: the center tops itself up with 2 tokens at iteration 1.
     assert led2.arrivals[0] == (1, 1)
@@ -146,7 +143,7 @@ def test_arrival_bookkeeping():
 
 def test_build_ledger_rejects_wrong_graph():
     g = star(6)
-    sol = greedy_dominating_set(g)
+    sol = solve(g, Mode.DOM)
     with pytest.raises(ValueError):
         build_ledger(star(5), sol)
 
@@ -236,6 +233,21 @@ def test_build_ledger_rejects_forged_covered_after(mode, k):
         build_ledger(C6, dataclasses.replace(sol, iterations=forged))
 
 
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+def test_build_ledger_rejects_trivial_flag_on_a_nontrivial_run(mode, k):
+    forged = dataclasses.replace(solve(C6, mode, k), trivial=True)
+    with pytest.raises(ValueError, match="trivial=True"):
+        build_ledger(C6, forged)
+
+
+def test_build_ledger_rejects_missing_trivial_flag():
+    sol = solve(C6, Mode.KDOM, 3)  # k > max_degree = 2
+    assert sol.trivial
+    assert audit(build_ledger(C6, sol))[0]
+    with pytest.raises(ValueError, match="trivial=False"):
+        build_ledger(C6, dataclasses.replace(sol, trivial=False))
+
+
 def test_build_ledger_rejects_out_of_range_vertex():
     sol = solve(C6, Mode.KDOM, 2)
     first = dataclasses.replace(sol.iterations[0], vertex=sol.iterations[0].vertex - 6)
@@ -293,7 +305,7 @@ def test_cost_matches_arrival_scan(g):
 
 def test_cost_domain_checked():
     g = path(4)
-    led = build_ledger(g, greedy_dominating_set(g))
+    led = build_ledger(g, solve(g, Mode.DOM))
     with pytest.raises(ValueError):
         _ref_cost(led, 0, 3)  # not adjacent
     # Vertex ids outside 0..n-1 raise instead of indexing from the end.
@@ -316,7 +328,7 @@ def test_cost_domain_checked():
 
 def test_subset_bound_preconditions():
     g = star(6)
-    led = build_ledger(g, greedy_kdominating_set(g, 2))
+    led = build_ledger(g, solve(g, Mode.KDOM, 2))
     with pytest.raises(ValueError):
         check_subset_cost_bound(led, 1, {1})  # too small for k=2
     with pytest.raises(ValueError):
@@ -574,7 +586,7 @@ def test_lowered_score_breaks_subset_bounds_on_both_paths():
 @given(graphs(max_n=8), st.integers(1, 3))
 def test_arrival_structure(g, k):
     k = min(k, g.min_degree() + 1)
-    sol = greedy_ktuple_dominating_set(g, k)
+    sol = solve(g, Mode.KTUPLE, k)
     led = build_ledger(g, sol)
     for v in range(g.n):
         arr = led.arrivals[v]
@@ -604,7 +616,7 @@ def test_residual_sequences(g):
 @settings(deadline=None, max_examples=40)
 @given(graphs(max_n=8))
 def test_residual_sequences_dom(g):
-    led = build_ledger(g, greedy_dominating_set(g))
+    led = build_ledger(g, solve(g, Mode.DOM))
     for w in range(g.n):
         r = led.residual_sequence(w)
         assert r[0] == g.degree(w) + 1

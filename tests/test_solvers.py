@@ -12,9 +12,6 @@ from multidom import (
     Mode,
     default_corpus,
     generate,
-    greedy_dominating_set,
-    greedy_kdominating_set,
-    greedy_ktuple_dominating_set,
     is_valid_solution,
     solution_to_dict,
     solve,
@@ -43,7 +40,7 @@ def path(n):
 
 
 def test_dom_trace_on_c4():
-    sol = greedy_dominating_set(cycle(4))
+    sol = solve(cycle(4), Mode.DOM)
     assert sol.chosen == (0, 1)
     assert [r.score for r in sol.iterations] == [3, 1]
     assert sol.iterations[0].newly_covered == (0, 1, 3)
@@ -53,7 +50,7 @@ def test_dom_trace_on_c4():
 
 
 def test_dom_trace_on_p3():
-    sol = greedy_dominating_set(path(3))
+    sol = solve(path(3), Mode.DOM)
     assert sol.chosen == (1,)
     assert sol.iterations[0].score == 3
 
@@ -63,7 +60,7 @@ def test_dom_trace_on_p5_passes_stale_keys():
     # 0, 1, 2), the top keys of 2 (stored 3, fresh 1), 3 (stored 3, fresh 2)
     # and 0 (stored 2, fresh 0) are all stale before 3 is taken with score 2.
     # Accepting any stale key would take 2 second, not 3.
-    sol = greedy_dominating_set(path(5))
+    sol = solve(path(5), Mode.DOM)
     assert sol.chosen == (1, 3)
     assert [r.score for r in sol.iterations] == [3, 2]
     assert [r.newly_covered for r in sol.iterations] == [(0, 1, 2), (3, 4)]
@@ -71,14 +68,14 @@ def test_dom_trace_on_p5_passes_stale_keys():
 
 
 def test_ktuple_trace_on_k5():
-    sol = greedy_ktuple_dominating_set(complete(5), 3)
+    sol = solve(complete(5), Mode.KTUPLE, 3)
     assert sol.chosen == (0, 1, 2)
     assert [r.score for r in sol.iterations] == [5, 5, 5]
     assert sol.iterations[2].newly_covered == (0, 1, 2, 3, 4)
 
 
 def test_ktuple_trace_on_star_k2():
-    sol = greedy_ktuple_dominating_set(star(6), 2)
+    sol = solve(star(6), Mode.KTUPLE, 2)
     assert sol.chosen == tuple(range(7))
     assert [r.score for r in sol.iterations] == [7, 2, 1, 1, 1, 1, 1]
     # Nothing is fully covered by the first pick alone: every requirement is 2.
@@ -87,7 +84,7 @@ def test_ktuple_trace_on_star_k2():
 
 
 def test_kdom_trace_on_star_k2():
-    sol = greedy_kdominating_set(star(6), 2)
+    sol = solve(star(6), Mode.KDOM, 2)
     assert sol.chosen == tuple(range(7))
     assert sol.iterations[0].score == 8
     assert dict(sol.iterations[0].tokens_placed) == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
@@ -95,7 +92,7 @@ def test_kdom_trace_on_star_k2():
 
 
 def test_kdom_trivial_case():
-    sol = greedy_kdominating_set(path(3), 3)
+    sol = solve(path(3), Mode.KDOM, 3)
     assert sol.trivial
     assert sorted(sol.chosen) == [0, 1, 2]
     assert len(sol.iterations) == 3
@@ -105,8 +102,8 @@ def test_kdom_trivial_case():
 
 
 def test_kdom_non_trivial_has_no_flag():
-    assert not greedy_kdominating_set(star(6), 2).trivial
-    assert not greedy_kdominating_set(cycle(5), 2).trivial
+    assert not solve(star(6), Mode.KDOM, 2).trivial
+    assert not solve(cycle(5), Mode.KDOM, 2).trivial
 
 
 # Recorded from the three separate greedy loops that solve() replaced: one
@@ -155,22 +152,23 @@ def test_large_traces_match_pinned_digest():
 
 def test_ktuple_k_range_errors():
     with pytest.raises(KOutOfRangeError):
-        greedy_ktuple_dominating_set(star(6), 3)  # min_degree + 1 == 2
+        solve(star(6), Mode.KTUPLE, 3)  # min_degree + 1 == 2
     with pytest.raises(KOutOfRangeError):
-        greedy_ktuple_dominating_set(cycle(5), 0)
-    greedy_ktuple_dominating_set(cycle(5), 3)  # min_degree + 1 == 3 is fine
+        solve(cycle(5), Mode.KTUPLE, 0)
+    solve(cycle(5), Mode.KTUPLE, 3)  # min_degree + 1 == 3 is fine
 
 
 def test_kdom_k_range_errors():
     with pytest.raises(KOutOfRangeError):
-        greedy_kdominating_set(cycle(5), 0)
+        solve(cycle(5), Mode.KDOM, 0)
 
 
 def test_solve_dispatch():
     g = cycle(6)
-    assert solve(g, Mode.DOM).chosen == greedy_dominating_set(g).chosen
-    assert solve(g, Mode.KTUPLE, 2).chosen == greedy_ktuple_dominating_set(g, 2).chosen
-    assert solve(g, Mode.KDOM, 2).chosen == greedy_kdominating_set(g, 2).chosen
+    assert solve(g, Mode.DOM) == solve(g, Mode.DOM, 1)
+    for mode, k in ((Mode.DOM, 1), (Mode.KTUPLE, 2), (Mode.KDOM, 2)):
+        sol = solve(g, mode, k)
+        assert (sol.mode, sol.k) == (mode, k)
     with pytest.raises(KOutOfRangeError):
         solve(g, Mode.DOM, 2)
 
@@ -194,7 +192,7 @@ def _valid_run(g, sol):
 @settings(deadline=None)
 @given(graphs(max_n=9))
 def test_dom_run_invariants(g):
-    _valid_run(g, greedy_dominating_set(g))
+    _valid_run(g, solve(g, Mode.DOM))
 
 
 @settings(deadline=None)
@@ -202,13 +200,13 @@ def test_dom_run_invariants(g):
 def test_ktuple_run_invariants(g, k):
     if k > g.min_degree() + 1:
         k = g.min_degree() + 1
-    _valid_run(g, greedy_ktuple_dominating_set(g, k))
+    _valid_run(g, solve(g, Mode.KTUPLE, k))
 
 
 @settings(deadline=None)
 @given(graphs(max_n=9), st.integers(1, 4))
 def test_kdom_run_invariants(g, k):
-    sol = greedy_kdominating_set(g, k)
+    sol = solve(g, Mode.KDOM, k)
     _valid_run(g, sol)
     assert sol.trivial == (k > g.max_degree())
     if sol.trivial:
@@ -221,7 +219,7 @@ def test_kdom_run_invariants(g, k):
 
 @given(graphs(max_n=9))
 def test_dom_newly_covered_partitions_vertices(g):
-    sol = greedy_dominating_set(g)
+    sol = solve(g, Mode.DOM)
     seen = []
     for rec in sol.iterations:
         seen.extend(rec.newly_covered)
@@ -231,9 +229,9 @@ def test_dom_newly_covered_partitions_vertices(g):
 @settings(deadline=None)
 @given(graphs(max_n=9))
 def test_k1_collapse(g):
-    a = greedy_dominating_set(g)
-    b = greedy_ktuple_dominating_set(g, 1)
-    c = greedy_kdominating_set(g, 1)
+    a = solve(g, Mode.DOM)
+    b = solve(g, Mode.KTUPLE, 1)
+    c = solve(g, Mode.KDOM, 1)
     assert a.chosen == b.chosen == c.chosen
     assert [r.score for r in a.iterations] == [r.score for r in b.iterations]
     assert [r.vertex for r in a.iterations] == [r.vertex for r in c.iterations]
@@ -279,13 +277,13 @@ def test_heap_matches_reference_on_tie_heavy_families():
 
 def test_determinism():
     g = cycle(12)
-    assert greedy_kdominating_set(g, 2) == greedy_kdominating_set(g, 2)
-    assert greedy_ktuple_dominating_set(g, 2) == greedy_ktuple_dominating_set(g, 2)
+    assert solve(g, Mode.KDOM, 2) == solve(g, Mode.KDOM, 2)
+    assert solve(g, Mode.KTUPLE, 2) == solve(g, Mode.KTUPLE, 2)
 
 
 def test_ties_break_to_smallest_id():
     # On any vertex-transitive graph the first pick must be vertex 0.
     for g in (cycle(8), complete(6)):
-        assert greedy_dominating_set(g).chosen[0] == 0
-        assert greedy_ktuple_dominating_set(g, 2).chosen[0] == 0
-        assert greedy_kdominating_set(g, 2).chosen[0] == 0
+        assert solve(g, Mode.DOM).chosen[0] == 0
+        assert solve(g, Mode.KTUPLE, 2).chosen[0] == 0
+        assert solve(g, Mode.KDOM, 2).chosen[0] == 0
