@@ -3,133 +3,23 @@ domination problems: plain domination, k-tuple domination (every vertex
 needs k chosen vertices in its closed neighborhood) and k-domination
 (every non-chosen vertex needs k chosen neighbors)."""
 
-from .exact import (
-    DEFAULT_MAX_N,
-    ExactResult,
-    InstanceTooLargeError,
-    exact_minimum,
-    exact_minimum_naive,
-    verify_monotonicity,
-)
-from .generators import FAMILIES, FamilySpec, generate, splitmix64
-from .graph import MAX_VERTICES, Graph, GraphError
-from .graphio import (
-    CSV_COLUMNS,
-    FORMATS,
-    FormatError,
-    parse_dimacs,
-    parse_edge_list,
-    parse_graph,
-    report_to_dict,
-    solution_from_dict,
-    solution_to_dict,
-    write_dimacs,
-    write_edge_list,
-    write_graph,
-    write_report_csv,
-    write_report_json,
-)
-from .harness import (
-    CorpusEntry,
-    CorpusSummary,
-    GapWitnessCheck,
-    RatioReport,
-    check_ratio_improvement,
-    default_corpus,
-    gap_witness_check,
-    run_corpus,
-    run_entry,
-    summarize,
-    approximation_bound,
-    verify_instance,
-)
-from .ledger import (
-    CostLedger,
-    audit,
-    build_ledger,
-    check_harmonic_inequalities,
-    check_harmonic_log_bound,
-    check_neighborhood_bound,
-    check_residual_decomposition,
-    check_subset_cost_bound,
-    check_sum_identity,
-    harmonic,
-)
-from .solvers import (
-    IterationRecord,
-    KOutOfRangeError,
-    Mode,
-    Solution,
-    apply_step,
-    is_valid_solution,
-    satisfies,
-    self_gain,
-    solve,
-    step_arrivals,
-    verify_greedy_optimality,
-)
+from . import exact, generators, graph, graphio, harness, ledger, solvers
+from .exact import *
+from .generators import *
+from .graph import *
+from .graphio import *
+from .harness import *
+from .ledger import *
+from .solvers import *
 
 __all__ = [
-    "CSV_COLUMNS",
-    "DEFAULT_MAX_N",
-    "FAMILIES",
-    "FORMATS",
-    "MAX_VERTICES",
-    "CorpusEntry",
-    "CorpusSummary",
-    "CostLedger",
-    "ExactResult",
-    "FamilySpec",
-    "FormatError",
-    "GapWitnessCheck",
-    "Graph",
-    "GraphError",
-    "InstanceTooLargeError",
-    "IterationRecord",
-    "KOutOfRangeError",
-    "Mode",
-    "RatioReport",
-    "Solution",
-    "apply_step",
-    "audit",
-    "build_ledger",
-    "check_harmonic_inequalities",
-    "check_harmonic_log_bound",
-    "check_neighborhood_bound",
-    "check_ratio_improvement",
-    "check_residual_decomposition",
-    "check_subset_cost_bound",
-    "check_sum_identity",
-    "default_corpus",
-    "exact_minimum",
-    "exact_minimum_naive",
-    "gap_witness_check",
-    "generate",
-    "harmonic",
-    "is_valid_solution",
-    "parse_dimacs",
-    "parse_edge_list",
-    "parse_graph",
-    "report_to_dict",
-    "run_corpus",
-    "run_entry",
-    "satisfies",
-    "self_gain",
-    "solution_from_dict",
-    "solution_to_dict",
-    "solve",
-    "splitmix64",
-    "step_arrivals",
-    "summarize",
-    "approximation_bound",
-    "verify_greedy_optimality",
-    "verify_instance",
-    "verify_monotonicity",
-    "write_dimacs",
-    "write_edge_list",
-    "write_graph",
-    "write_report_csv",
-    "write_report_json",
+    *exact.__all__,
+    *generators.__all__,
+    *graph.__all__,
+    *graphio.__all__,
+    *harness.__all__,
+    *ledger.__all__,
+    *solvers.__all__,
 ]
 
 __version__ = "0.1.0"

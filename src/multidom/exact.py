@@ -19,6 +19,15 @@ same order and return the same witness, and nodes_explored is reproducible.
 
 from __future__ import annotations
 
+__all__ = [
+    "DEFAULT_MAX_N",
+    "InstanceTooLargeError",
+    "ExactResult",
+    "exact_minimum_naive",
+    "exact_minimum",
+    "verify_monotonicity",
+]
+
 import itertools
 import time
 from dataclasses import dataclass
@@ -129,6 +138,8 @@ def verify_monotonicity(g: Graph, k_max: int, *, max_n: int = DEFAULT_MAX_N) -> 
 
 
 def _check_instance(g: Graph, mode: Mode, k: int, max_n: int) -> None:
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     if g.n > max_n:
         raise InstanceTooLargeError(
             f"exact search capped at n <= {max_n}, got n = {g.n}"

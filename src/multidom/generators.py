@@ -10,6 +10,8 @@ floor(p * 2**64).
 
 from __future__ import annotations
 
+__all__ = ["FAMILIES", "splitmix64", "FamilySpec", "generate"]
+
 from dataclasses import dataclass
 from typing import Iterator
 

@@ -7,6 +7,8 @@ closed_neighborhood() build their frozensets from it when called.
 
 from __future__ import annotations
 
+__all__ = ["MAX_VERTICES", "GraphError", "Graph"]
+
 import hashlib
 from typing import Iterable, Iterator
 

@@ -24,6 +24,23 @@ graph.
 
 from __future__ import annotations
 
+__all__ = [
+    "FORMATS",
+    "CSV_COLUMNS",
+    "FormatError",
+    "parse_graph",
+    "write_graph",
+    "parse_dimacs",
+    "write_dimacs",
+    "parse_edge_list",
+    "write_edge_list",
+    "solution_to_dict",
+    "solution_from_dict",
+    "report_to_dict",
+    "write_report_csv",
+    "write_report_json",
+]
+
 import csv
 import io
 import json

@@ -11,6 +11,21 @@ instances that meet a bound with equality are not misreported.
 
 from __future__ import annotations
 
+__all__ = [
+    "CorpusEntry",
+    "RatioReport",
+    "CorpusSummary",
+    "approximation_bound",
+    "verify_instance",
+    "default_corpus",
+    "run_entry",
+    "run_corpus",
+    "summarize",
+    "check_ratio_improvement",
+    "GapWitnessCheck",
+    "gap_witness_check",
+]
+
 import concurrent.futures
 import math
 import time
@@ -223,7 +238,7 @@ def run_corpus(
     if jobs == 1:
         results = map(_run_spec, groups)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             results = list(pool.map(_run_spec, groups))
     return sorted((r for reports in results for r in reports), key=RatioReport.sort_key)
 

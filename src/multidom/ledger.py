@@ -32,6 +32,19 @@ pass; check_subset_cost_bound is called per vertex and subset.
 
 from __future__ import annotations
 
+__all__ = [
+    "harmonic",
+    "check_harmonic_inequalities",
+    "check_harmonic_log_bound",
+    "CostLedger",
+    "build_ledger",
+    "check_sum_identity",
+    "check_subset_cost_bound",
+    "check_neighborhood_bound",
+    "check_residual_decomposition",
+    "audit",
+]
+
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields

@@ -48,6 +48,20 @@ iteration equal its score, which is what the cost-ledger checks lean on.
 
 from __future__ import annotations
 
+__all__ = [
+    "KOutOfRangeError",
+    "Mode",
+    "IterationRecord",
+    "Solution",
+    "self_gain",
+    "step_arrivals",
+    "solve",
+    "apply_step",
+    "satisfies",
+    "is_valid_solution",
+    "verify_greedy_optimality",
+]
+
 import enum
 import heapq
 from dataclasses import dataclass, field
@@ -245,9 +259,10 @@ def satisfies(g: Graph, mode: Mode, k: int, xs: Iterable[int]) -> bool:
     Order and repeats in xs do not matter.
 
     Raises KOutOfRangeError for k < 1 and for plain domination with k != 1,
+    ValueError for a mode that is not a Mode (such as the string "kdom"),
     and GraphError for a member outside 0..n-1.
     """
-    if k < 1 or mode is Mode.DOM:  # a k-tuple k above min_degree + 1 is just unmet
+    if k < 1 or mode is not Mode.KTUPLE:  # a k-tuple k above min_degree + 1 is just unmet
         check_k(g, mode, k)
     count = [0] * g.n
     for x in set(xs):

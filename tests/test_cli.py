@@ -5,7 +5,11 @@ import pytest
 
 from multidom import (
     MAX_VERTICES,
+    FormatError,
     Graph,
+    GraphError,
+    InstanceTooLargeError,
+    KOutOfRangeError,
     Mode,
     build_ledger,
     check_neighborhood_bound,
@@ -211,6 +215,8 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
          "corpus entry 0: p must be a number, got '0.4'"),
         ([{"spec": {"family": "erdos_renyi", "n": 8, "p": True, "seed": 3}, "mode": "dom"}],
          "corpus entry 0: p must be a number, got True"),
+        ([{"spec": {"family": "erdos_renyi", "n": 5, "p": 0.5}, "mode": "dom"}],
+         "corpus entry 0: erdos_renyi needs an explicit seed"),
         ([{"spec": {"family": "gap_witness", "k": 2.0}, "mode": "dom"}],
          "corpus entry 0: spec k must be an integer, got 2.0"),
         ([{"spec": {"family": "cycle", "n": 8}, "mode": "kdom", "k": 2.7}],
@@ -224,8 +230,8 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
     ],
     ids=[
         "missing_spec", "unknown_spec_field", "not_a_list", "n_string", "n_list", "n_float",
-        "n_bool", "a_float", "b_string", "seed_string", "p_string", "p_bool", "spec_k_float",
-        "k_float", "k_bool", "generator_rejects_spec",
+        "n_bool", "a_float", "b_string", "seed_string", "p_string", "p_bool", "seed_missing",
+        "spec_k_float", "k_float", "k_bool", "generator_rejects_spec",
     ],
 )
 def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):
@@ -304,10 +310,21 @@ def test_vertex_cap_is_usage_error(monkeypatch, capsys, argv, text, where):
         (["selfcheck", "--gap-k-max", "-3"], "gap_k_max must be >= 2, got -3"),
         (["selfcheck", "--x-max", "0"], "x_max must be >= 1, got 0"),
         (["selfcheck", "--delta-max", "0"], "delta_max must be >= 1, got 0"),
+        # A cap below 1 would refuse every exact run, not turn the check off.
+        (["bench", "--max-n", "0"], "max_n must be >= 1, got 0"),
+        (["verify", "C6", "--mode", "dom", "--max-n", "-1"], "max_n must be >= 1, got -1"),
+        (["exact", "C6", "--mode", "dom", "--max-n", "0"], "max_n must be >= 1, got 0"),
     ],
 )
-def test_out_of_range_limits_are_usage_errors(capsys, argv, message):
-    assert main(argv) == 2
+def test_out_of_range_limits_are_usage_errors(c6_path, capsys, argv, message):
+    assert main([c6_path if a == "C6" else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("error", [GraphError, FormatError, KOutOfRangeError, InstanceTooLargeError])
+def test_package_errors_are_value_errors(error):
+    # main() turns ValueError and OSError into exit 2; any other class
+    # would escape as a traceback.
+    assert issubclass(error, ValueError)

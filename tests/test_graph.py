@@ -112,6 +112,12 @@ def test_validator_k_validation():
     # Plain domination has no multiplicity, as in check_k.
     with pytest.raises(KOutOfRangeError, match="plain domination"):
         satisfies(g, Mode.DOM, 2, {0, 1})
+    # A plain string is not a Mode: rejected as solve rejects it, never read
+    # as k-tuple, where the leaves {1, 2, 3} fail and k-domination holds.
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert satisfies(star, Mode.KDOM, 2, [1, 2, 3])
+    with pytest.raises(ValueError, match="unknown mode 'kdom'"):
+        satisfies(star, "kdom", 2, [1, 2, 3])
 
 
 def test_whole_vertex_set_always_works():

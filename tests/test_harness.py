@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from multidom import harness
 from multidom import (
     CorpusEntry,
     FamilySpec,
@@ -155,6 +156,30 @@ def test_run_corpus_parallel_matches_serial():
         r.bound_satisfied, r.ledger_checks_passed, r.trivial, r.skip_reason,
     )
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+
+def test_run_corpus_starts_no_more_workers_than_specs(monkeypatch):
+    # A serial stand-in that records max_workers, so no process starts.
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Recorder)
+    entries = _small_entries()  # three distinct specs
+    assert len(run_corpus(entries, jobs=8)) == 4
+    assert len(run_corpus(entries[:1], jobs=3)) == 1
+    assert seen == [3, 1]
 
 
 def test_run_corpus_generates_each_spec_once(monkeypatch):

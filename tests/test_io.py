@@ -171,6 +171,7 @@ def test_bulk_dimacs_matches_line_reader(g, data, chunk):
 def test_parse_edge_list_basic():
     g = parse_edge_list("# comment\n0 1\n1 2\n")
     assert (g.n, g.m) == (3, 2)
+    assert parse_edge_list("# n 3\n\n0 1\n\n") == Graph(3, [(0, 1)])  # blank lines skipped
 
 
 def test_edge_list_n_directive_and_override():

@@ -174,6 +174,9 @@ def test_build_ledger_rejects_malformed_iterations(mode, k):
     renumbered = (dataclasses.replace(first, index=2),) + sol.iterations[1:]
     with pytest.raises(ValueError, match="iteration 1: index 2 != replayed 1"):
         build_ledger(C6, dataclasses.replace(sol, iterations=renumbered))
+    truncated = dataclasses.replace(sol, chosen=sol.chosen[:-1], iterations=sol.iterations[:-1])
+    with pytest.raises(ValueError, match=f"did not accumulate {k} arrivals"):
+        build_ledger(C6, truncated)
 
 
 def _forge_kdom_tokens(*placements):
