@@ -137,9 +137,14 @@ def verify_monotonicity(g: Graph, k_max: int, *, max_n: int = DEFAULT_MAX_N) -> 
     return all(kdom[i] <= ktuple[i] for i in range(len(ktuple)))
 
 
-def _check_instance(g: Graph, mode: Mode, k: int, max_n: int) -> None:
+def check_max_n(max_n: int) -> None:
+    """Raise ValueError unless max_n, an exact-search size cap, is >= 1."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+
+
+def _check_instance(g: Graph, mode: Mode, k: int, max_n: int) -> None:
+    check_max_n(max_n)
     if g.n > max_n:
         raise InstanceTooLargeError(
             f"exact search capped at n <= {max_n}, got n = {g.n}"

@@ -29,14 +29,14 @@ __all__ = [
 import concurrent.futures
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact import DEFAULT_MAX_N, InstanceTooLargeError, exact_minimum
+from .exact import DEFAULT_MAX_N, InstanceTooLargeError, check_max_n, exact_minimum
 from .generators import FamilySpec, generate
 from .graph import Graph
 from .ledger import audit, build_ledger
-from .solvers import KOutOfRangeError, Mode, self_gain, solve
+from .solvers import KOutOfRangeError, Mode, problem_key, self_gain, solve
 
 BOUND_SLACK = 1e-9
 
@@ -66,7 +66,10 @@ class RatioReport:
     combination's precondition failed (only k-tuple with k > min_degree + 1
     in the default corpus).  ledger_rows
     holds (lhs, bound) of the neighborhood bound for every vertex in id
-    order; it is not a CSV column.
+    order; it is not a CSV column.  In run_corpus, entries of one spec that
+    pose the same problem (solvers.problem_key) share one run, so their
+    reports differ only in mode and k: greedy_time_s and exact_time_s are
+    that run's times.
     """
 
     instance_id: str
@@ -123,7 +126,11 @@ def verify_instance(
     spec: FamilySpec | None = None,
     max_n: int = DEFAULT_MAX_N,
 ) -> RatioReport:
-    """Greedy-solve, audit the ledger, exact-solve, and compare the ratio."""
+    """Greedy-solve, audit the ledger, exact-solve, and compare the ratio.
+
+    Raises ValueError for max_n < 1, whether or not the exact search runs.
+    """
+    check_max_n(max_n)
     instance_id = spec.instance_id() if spec is not None else _fallback_id(g)
     base = dict(
         instance_id=instance_id,
@@ -136,6 +143,7 @@ def verify_instance(
         mode=mode,
         k=k,
     )
+    g.fingerprint()  # computed once per graph and kept; not greedy work
     try:
         t0 = time.perf_counter()
         sol = solve(g, mode, k)
@@ -219,12 +227,17 @@ def run_corpus(
 ) -> list[RatioReport]:
     """Run every corpus entry and return reports in canonical order.
 
-    Entries that share a spec share one generated graph.  Canonical order is
+    Entries that share a spec share one generated graph, and entries of one
+    spec that pose the same problem (solvers.problem_key: dom, ktuple k=1
+    and kdom k=1 unless trivial, or repeated entries) share one run: the
+    later ones copy the first one's report with their own mode and k, its
+    timing fields included.  Canonical order is
     (instance_id, mode, k) regardless of jobs, so output is reproducible
     whether or not the run was parallel.  A spec its generator rejects
     raises ValueError naming the index of its first entry, as
-    "corpus entry <i>: ...".  Raises ValueError for jobs < 1.
+    "corpus entry <i>: ...".  Raises ValueError for jobs < 1 or max_n < 1.
     """
+    check_max_n(max_n)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if entries is None:
@@ -244,14 +257,23 @@ def run_corpus(
 
 
 def _run_spec(arg: tuple[int, list[CorpusEntry], int]) -> list[RatioReport]:
-    """Run entries that share one spec on one generated graph; first is the
-    corpus index of the first of them."""
+    """Run entries that share one spec on one generated graph, each distinct
+    problem once; first is the corpus index of the first of them."""
     first, entries, max_n = arg
     try:
         g = generate(entries[0].spec)
     except ValueError as exc:
         raise ValueError(f"corpus entry {first}: {exc}") from None
-    return [run_entry(e, max_n=max_n, graph=g) for e in entries]
+    runs: dict[tuple[Mode, int], RatioReport] = {}
+    reports = []
+    for e in entries:
+        key = problem_key(g, e.mode, e.k)
+        if key in runs:
+            reports.append(replace(runs[key], mode=e.mode, k=e.k))
+        else:
+            runs[key] = run_entry(e, max_n=max_n, graph=g)
+            reports.append(runs[key])
+    return reports
 
 
 def summarize(reports: list[RatioReport]) -> CorpusSummary:

@@ -159,6 +159,18 @@ def is_trivial(g: Graph, mode: Mode, k: int) -> bool:
     return mode is Mode.KDOM and k > g.max_degree()
 
 
+def problem_key(g: Graph, mode: Mode, k: int) -> tuple[Mode, int]:
+    """A key that two (mode, k) pairs on g share exactly when they pose the
+    same problem: (Mode.DOM, 1) for every mode at k = 1 unless is_trivial,
+    and (mode, k) otherwise.  At k = 1 every mode has self-gain 1 and every
+    vertex needs one arrival, so solve, the ledger and the exact search do
+    the same work; only the trivial k-domination case (an edgeless graph)
+    is marked apart.  The mode stays in the key whenever k != 1."""
+    if k == 1 and not is_trivial(g, mode, 1):
+        return (Mode.DOM, 1)
+    return (mode, k)
+
+
 def self_gain(mode: Mode, k: int, count: int) -> int:
     """Arrivals an uncovered vertex with count arrivals gives itself when
     chosen: all k - count it lacks for k-domination, one otherwise."""

@@ -323,6 +323,17 @@ def test_out_of_range_limits_are_usage_errors(c6_path, capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_bench_cap_below_one_is_usage_error_without_exact_runs(tmp_path, capsys):
+    # The only entry skips before the exact search, so the cap is checked
+    # up front, not where the search would read it.
+    corpus_path = tmp_path / "skip.json"
+    corpus_path.write_text(json.dumps([{"spec": {"family": "star", "n": 8}, "mode": "ktuple", "k": 3}]))
+    assert main(["bench", "--corpus", str(corpus_path), "--max-n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_n must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("error", [GraphError, FormatError, KOutOfRangeError, InstanceTooLargeError])
 def test_package_errors_are_value_errors(error):
     # main() turns ValueError and OSError into exit 2; any other class

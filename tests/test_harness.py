@@ -2,6 +2,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from multidom import harness
 from multidom import (
@@ -94,6 +96,15 @@ def test_verify_instance_trivial_flag():
     assert report.ledger_checks_passed is True
 
 
+def test_cap_below_one_is_rejected_before_any_run():
+    g = star(6)
+    for max_n in (0, -3):
+        with pytest.raises(ValueError, match=f"max_n must be >= 1, got {max_n}"):
+            verify_instance(g, Mode.KTUPLE, 3, max_n=max_n)  # a skip otherwise
+        with pytest.raises(ValueError, match=f"max_n must be >= 1, got {max_n}"):
+            run_corpus([CorpusEntry(FamilySpec("star", n=8), Mode.KTUPLE, 3)], max_n=max_n)
+
+
 def test_verify_instance_respects_size_cap():
     g = generate(FamilySpec("cycle", n=12))
     report = verify_instance(g, Mode.DOM, 1, max_n=10)
@@ -182,10 +193,18 @@ def test_run_corpus_starts_no_more_workers_than_specs(monkeypatch):
     assert seen == [3, 1]
 
 
-def test_run_corpus_generates_each_spec_once(monkeypatch):
-    entries = default_corpus()
-    untimed = lambda r: dataclasses.replace(r, greedy_time_s=None, exact_time_s=None)
-    per_entry = sorted((run_entry(e) for e in entries), key=RatioReport.sort_key)
+def _untimed(report):
+    return dataclasses.replace(report, greedy_time_s=None, exact_time_s=None)
+
+
+@pytest.fixture(scope="module")
+def default_per_entry():
+    """Untimed default-corpus reports, one run_entry per entry, in canonical order."""
+    reports = sorted((run_entry(e) for e in default_corpus()), key=RatioReport.sort_key)
+    return [_untimed(r) for r in reports]
+
+
+def test_run_corpus_generates_each_spec_once(monkeypatch, default_per_entry):
     calls = []
 
     def counting_generate(spec):
@@ -193,9 +212,93 @@ def test_run_corpus_generates_each_spec_once(monkeypatch):
         return generate(spec)
 
     monkeypatch.setattr("multidom.harness.generate", counting_generate)
-    reports = run_corpus(entries)
+    reports = run_corpus(default_corpus())
     assert len(calls) == len(set(calls)) == 108
-    assert [untimed(r) for r in reports] == [untimed(r) for r in per_entry]
+    assert [_untimed(r) for r in reports] == default_per_entry
+
+
+def test_run_corpus_runs_each_problem_once(monkeypatch, default_per_entry):
+    # dom, ktuple k=1 and kdom k=1 are one problem on each of the 108 graphs
+    # (none is edgeless), so 2 * 108 of the 681 runs of one run_entry per
+    # entry are repeats.  The 75 skipped ktuple entries call solve, which
+    # raises before a solution or an exact search.
+    solved, searched = [], []
+
+    def counting_solve(g, mode, k=1):
+        sol = solve(g, mode, k)
+        solved.append((mode, k))
+        return sol
+
+    def counting_exact(g, mode, k=1, **kwargs):
+        searched.append((mode, k))
+        return exact_minimum(g, mode, k, **kwargs)
+
+    monkeypatch.setattr("multidom.harness.solve", counting_solve)
+    monkeypatch.setattr("multidom.harness.exact_minimum", counting_exact)
+    reports = run_corpus(default_corpus())
+    assert len(solved) == len(searched) == 465
+    assert len(reports) == 756
+    assert [_untimed(r) for r in reports] == default_per_entry
+
+
+# Shared problems at k = 1 and the cases that must stay apart: dom k=2 (a
+# skip) beside ktuple k=2, and k = 0.
+_PROBLEMS = [(mode, k) for mode in Mode for k in (0, 1, 2, 3)]
+
+
+@st.composite
+def shuffled_corpora(draw):
+    """Entries on small erdos_renyi graphs, p = 0 (edgeless) included, with
+    dom k=2 beside ktuple k=2, kdom k=1 on an edgeless graph and repeats."""
+    specs = draw(
+        st.lists(
+            st.builds(
+                lambda n, p, seed: FamilySpec("erdos_renyi", n=n, p=p, seed=seed),
+                st.integers(1, 8),
+                st.sampled_from((0.0, 0.3, 0.6, 1.0)),
+                st.integers(0, 99),
+            ),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    edgeless = FamilySpec("erdos_renyi", n=draw(st.integers(1, 5)), p=0.0, seed=0)
+    entries = [
+        CorpusEntry(edgeless, Mode.KDOM, 1),
+        CorpusEntry(edgeless, Mode.DOM, 1),
+        CorpusEntry(specs[0], Mode.DOM, 2),
+        CorpusEntry(specs[0], Mode.KTUPLE, 2),
+    ]
+    entries += draw(
+        st.lists(
+            st.tuples(st.sampled_from(specs), st.sampled_from(_PROBLEMS)).map(
+                lambda t: CorpusEntry(t[0], *t[1])
+            ),
+            max_size=12,
+        )
+    )
+    entries += draw(st.lists(st.sampled_from(entries), min_size=1, max_size=4))
+    return draw(st.permutations(entries))
+
+
+@settings(deadline=None, max_examples=40)
+@given(shuffled_corpora(), st.sampled_from((4, 20)))
+def test_run_corpus_matches_one_run_per_entry(entries, max_n):
+    per_entry = [
+        verify_instance(generate(e.spec), e.mode, e.k, spec=e.spec, max_n=max_n)
+        for e in entries
+    ]
+    expected = [_untimed(r) for r in sorted(per_entry, key=RatioReport.sort_key)]
+    assert [_untimed(r) for r in run_corpus(entries, max_n=max_n)] == expected
+
+
+@settings(deadline=None, max_examples=5)
+@given(shuffled_corpora())
+def test_run_corpus_shares_runs_the_same_in_workers(entries):
+    serial = run_corpus(entries, jobs=1)
+    parallel = run_corpus(entries, jobs=2)
+    assert [_untimed(r) for r in parallel] == [_untimed(r) for r in serial]
 
 
 def test_run_corpus_rejects_empty():

@@ -17,6 +17,7 @@ from multidom import (
     solve,
     verify_greedy_optimality,
 )
+from multidom.solvers import problem_key
 from conftest import graphs
 
 
@@ -236,6 +237,22 @@ def test_k1_collapse(g):
     assert [r.score for r in a.iterations] == [r.score for r in b.iterations]
     assert [r.vertex for r in a.iterations] == [r.vertex for r in c.iterations]
     assert [r.score for r in a.iterations] == [r.score for r in c.iterations]
+
+
+def test_problem_key():
+    g = cycle(5)
+    for mode in Mode:
+        assert problem_key(g, mode, 1) == (Mode.DOM, 1)
+    # k != 1 keeps the mode, also where the precondition fails (dom k=2)
+    # beside a valid run (ktuple k=2), and for k = 0.
+    for mode in Mode:
+        for k in (0, 2, 3):
+            assert problem_key(g, mode, k) == (mode, k)
+    # An edgeless graph makes kdom k=1 trivial (all of V), apart from dom.
+    edgeless = Graph(3)
+    assert problem_key(edgeless, Mode.KDOM, 1) == (Mode.KDOM, 1)
+    assert problem_key(edgeless, Mode.KTUPLE, 1) == (Mode.DOM, 1)
+    assert problem_key(edgeless, Mode.DOM, 1) == (Mode.DOM, 1)
 
 
 def _admissible_runs(g):
