@@ -138,6 +138,7 @@ class Solution:
 
 def check_k(g: Graph, mode: Mode, k: int) -> None:
     """Raise KOutOfRangeError unless mode admits multiplicity k on g."""
+    _check_mode(mode)
     if mode is Mode.DOM:
         if k != 1:
             raise KOutOfRangeError(f"plain domination has no multiplicity, got k={k}")
@@ -149,7 +150,12 @@ def check_k(g: Graph, mode: Mode, k: int) -> None:
     elif mode is Mode.KDOM:
         if k < 1:
             raise KOutOfRangeError(f"k-domination needs k >= 1, got k={k}")
-    else:
+
+
+def _check_mode(mode: Mode) -> None:
+    """Raise ValueError unless mode is a Mode member; a plain string such as
+    "kdom" is not one."""
+    if not isinstance(mode, Mode):
         raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -165,7 +171,10 @@ def problem_key(g: Graph, mode: Mode, k: int) -> tuple[Mode, int]:
     and (mode, k) otherwise.  At k = 1 every mode has self-gain 1 and every
     vertex needs one arrival, so solve, the ledger and the exact search do
     the same work; only the trivial k-domination case (an edgeless graph)
-    is marked apart.  The mode stays in the key whenever k != 1."""
+    is marked apart.  The mode stays in the key whenever k != 1.  Raises
+    ValueError for an unknown mode, as solve does, so that such an entry
+    never shares a valid run."""
+    _check_mode(mode)
     if k == 1 and not is_trivial(g, mode, 1):
         return (Mode.DOM, 1)
     return (mode, k)

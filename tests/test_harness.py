@@ -96,6 +96,15 @@ def test_verify_instance_trivial_flag():
     assert report.ledger_checks_passed is True
 
 
+def test_run_corpus_shares_no_run_with_an_unknown_mode():
+    spec = FamilySpec("cycle", n=5)
+    for mode, k in (("bogus", 1), ("kdom", 2)):
+        entries = [CorpusEntry(spec, Mode.DOM, 1), CorpusEntry(spec, Mode.KDOM, 2),
+                   CorpusEntry(spec, mode, k)]
+        with pytest.raises(ValueError, match="unknown mode"):
+            run_corpus(entries)
+
+
 def test_cap_below_one_is_rejected_before_any_run():
     g = star(6)
     for max_n in (0, -3):

@@ -253,6 +253,10 @@ def test_problem_key():
     assert problem_key(edgeless, Mode.KDOM, 1) == (Mode.KDOM, 1)
     assert problem_key(edgeless, Mode.KTUPLE, 1) == (Mode.DOM, 1)
     assert problem_key(edgeless, Mode.DOM, 1) == (Mode.DOM, 1)
+    # A plain string is not a mode: solve rejects it, so no key shares it.
+    for mode, k in (("bogus", 1), ("kdom", 1), ("kdom", 2)):
+        with pytest.raises(ValueError, match="unknown mode"):
+            problem_key(g, mode, k)
 
 
 def _admissible_runs(g):
