@@ -12,10 +12,12 @@ failed, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from .exact import DEFAULT_MAX_N, exact_minimum
 from .generators import FAMILIES, FamilySpec, generate
@@ -161,10 +163,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "skip_reason": report.skip_reason,
     }
     if report.skip_reason is None:
-        doc["ledger"] = [
-            {"vertex": w, "lhs": _frac(lhs), "bound": _frac(bound)}
-            for w, (lhs, bound) in enumerate(report.ledger_rows)
-        ]
+        with _any_int_digits():
+            doc["ledger"] = [
+                {"vertex": w, "lhs": _frac(lhs), "bound": _frac(bound)}
+                for w, (lhs, bound) in enumerate(report.ledger_rows)
+            ]
     print(json.dumps(doc, indent=2))
     passed = (
         report.skip_reason is None
@@ -252,6 +255,24 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
 
 def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+@contextlib.contextmanager
+def _any_int_digits() -> Iterator[None]:
+    """Lift the interpreter's limit on int-to-decimal digits while inside, so
+    that a bound such as H(10500), whose denominator has more than 4300
+    digits, renders; the old limit comes back on exit.  Python releases
+    without sys.set_int_max_str_digits have no limit to lift."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    old = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 if __name__ == "__main__":

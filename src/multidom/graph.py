@@ -10,11 +10,13 @@ from __future__ import annotations
 __all__ = ["MAX_VERTICES", "GraphError", "Graph"]
 
 import hashlib
+from bisect import bisect_right
 from typing import Iterable, Iterator
 
 # The most vertices a Graph may have.  Graph() checks it before any
 # per-vertex allocation, so a header such as "p edge 1000000000 0" fails at
-# once instead of building a billion rows.
+# once instead of building a billion rows.  ledger.build_ledger caps a run's
+# n * k arrivals by the same number.
 MAX_VERTICES = 10**7
 
 
@@ -94,11 +96,17 @@ class Graph:
     def fingerprint(self) -> tuple[int, int, str]:
         """(n, m, digest) identifying the graph up to exact adjacency equality."""
         if self._fingerprint is None:
-            # One payload: the header, then "u,v;" for each edge in edges() order.
-            payload = f"n={self.n};m={self.m};" + "".join(
-                [f"{u},{v};" for u, row in enumerate(self.adjacency) for v in row if u < v]
-            )
-            digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+            # One payload: the header, then "u,v;" for each edge in edges()
+            # order, joined one row at a time from the decimal names.
+            names = list(map(str, range(self.n)))
+            parts = [f"n={self.n};m={self.m};"]
+            for u, row in enumerate(self.adjacency):
+                higher = row[bisect_right(row, u) :]
+                if higher:
+                    name = names[u]
+                    edges = (";" + name + ",").join([names[v] for v in higher])
+                    parts.append(name + "," + edges + ";")
+            digest = hashlib.sha256("".join(parts).encode()).hexdigest()[:16]
             # Lazy cache; the only mutation after __init__.
             self._fingerprint = (self.n, self.m, digest)
         return self._fingerprint

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 from .solvers import Mode, Solution, apply_step, check_k, is_trivial, self_gain
 
 _HARMONIC_CACHE: list[Fraction] = [Fraction(0)]
@@ -214,10 +214,17 @@ def build_ledger(g: Graph, sol: Solution) -> CostLedger:
     which must cause at least one arrival, and the recorded IterationRecord
     must equal the replayed one, or the error names the first field that
     differs.  Every vertex must end with exactly k arrivals.
+
+    The ledger holds n * k arrivals, so a k with n * k above
+    graph.MAX_VERTICES raises ValueError before any of them is stored.
     """
     if sol.graph_fingerprint != g.fingerprint():
         raise ValueError("solution trace does not match this graph")
     check_k(g, sol.mode, sol.k)
+    if g.n * sol.k > MAX_VERTICES:
+        raise ValueError(
+            f"k={sol.k} needs n * k = {g.n * sol.k} arrivals, above the cap of {MAX_VERTICES}"
+        )
     if sol.trivial != is_trivial(g, sol.mode, sol.k):
         raise ValueError(f"solution flag trivial={sol.trivial} does not match this instance")
     if sol.chosen != tuple(rec.vertex for rec in sol.iterations):

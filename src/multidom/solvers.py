@@ -23,10 +23,15 @@ k-tuple domination needs k <= min_degree + 1 (some closed neighborhood is
 otherwise too small); k-domination accepts every k >= 1 and is trivial, with
 all of V chosen, when k > max_degree (is_trivial()).
 
-solve() finds each pick with a lazy max-heap (the accelerated greedy of
-Minoux, 1978) instead of re-scoring every vertex: it re-scores only the top
-entry and re-inserts it while its stored score is stale.  Two facts make this
-pick exactly what a full scan would:
+solve() keeps every vertex's score current and finds each pick with a lazy
+max-heap (the accelerated greedy of Minoux, 1978) instead of scanning every
+vertex.  After each step a vertex's self-gain falls by the arrivals it took
+(k-domination) or by 1 once it is covered (otherwise), and every neighbour
+of a newly covered vertex loses 1.  Each vertex is newly covered once and a
+step's arrivals land in one closed neighbourhood, so a run makes O(m + n)
+such updates.  A heap inspection compares the top key with the current
+score in O(1) and re-inserts the vertex with its current score while the
+key is stale.  Two facts make this pick exactly what a full scan would:
 
 * a score never rises, since counts only grow and a chosen vertex leaves
   the heap, so no stored score is below the true one;
@@ -34,8 +39,8 @@ pick exactly what a full scan would:
   fresh has the maximum score and the smallest id among those that have it.
 
 A key goes stale only when its score falls, so a run re-inserts at most once
-per score decrease, O(m + k*n) times; each inspection costs O(deg + log n),
-where the scan cost O(m + n) per pick.
+per score update, O(m + n) times at O(log n) each, where the scan cost
+O(m + n) per pick.
 verify_greedy_optimality() keeps the full scan as the independent reference.
 
 The trace records enough state (scores, newly covered vertices and, for
@@ -203,12 +208,13 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     choose the unchosen vertex whose choice causes the most arrivals that
     still count, breaking ties toward the smallest id.
 
-    Candidates sit in a lazy max-heap of (-score, v) keys.  The top vertex is
-    re-scored; if its stored key is stale it goes back with the fresh score,
-    otherwise it is taken.  This is exact because a score never rises (counts
-    only grow and chosen vertices leave the heap), so every stored score is
-    at least the true one, and a fresh top therefore holds the maximum score
-    with the smallest id among the vertices that have it.
+    score[v] is kept current after every step, and candidates sit in a lazy
+    max-heap of (-score, v) keys.  A top key that differs from the current
+    score goes back with that score; otherwise its vertex is taken.  This is
+    exact because a score never rises (counts only grow and chosen vertices
+    leave the heap), so every stored score is at least the true one, and a
+    fresh top therefore holds the maximum score with the smallest id among
+    the vertices that have it.
 
     Raises KOutOfRangeError when check_k rejects k.
     """
@@ -218,28 +224,33 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     adjacency = g.adjacency
     count = [0] * n  # arrivals that counted, so never above k
     gain0 = self_gain(mode, k, 0)
-    heap = [(-(len(adjacency[v]) + gain0), v) for v in range(n)]
+    score = [len(row) + gain0 for row in adjacency]
+    heap = [(-s, v) for v, s in enumerate(score)]
     heapq.heapify(heap)
     covered = 0
     records: list[IterationRecord] = []
     while covered < n:
-        while True:
+        stored, best = heap[0]
+        while score[best] != -stored:
+            heapq.heapreplace(heap, (-score[best], best))
             stored, best = heap[0]
-            best_score = 0
-            for u in adjacency[best]:
-                if count[u] < k:
-                    best_score += 1
-            if count[best] < k:
-                # self_gain(mode, k, count[best]), inlined: this runs once per
-                # heap inspection.
-                best_score += k - count[best] if kdom else 1
-            if best_score == -stored:
-                break
-            heapq.heapreplace(heap, (-best_score, best))
         heapq.heappop(heap)
-        _, rec = apply_step(g, mode, k, count, best, len(records) + 1, covered)
-        covered = rec.covered_after
+        tokens, rec = apply_step(g, mode, k, count, best, len(records) + 1, covered)
         records.append(rec)
+        covered = rec.covered_after
+        if covered == n:
+            break  # no pick follows, so no score is read again
+        # A vertex's self-gain falls by its arrivals (kdom) or by 1 when it
+        # is covered; each neighbour of a newly covered vertex loses 1.
+        if kdom:
+            for u, c in tokens.items():
+                score[u] -= c
+        else:
+            for u in rec.newly_covered:
+                score[u] -= 1
+        for u in rec.newly_covered:
+            for w in adjacency[u]:
+                score[w] -= 1
     return Solution(
         mode=mode,
         k=k,

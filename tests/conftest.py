@@ -1,6 +1,10 @@
+import hashlib
+import heapq
+
 import hypothesis.strategies as st
 
-from multidom import Graph, Mode
+from multidom import Graph, IterationRecord, Mode, Solution, apply_step, self_gain
+from multidom.solvers import check_k, is_trivial
 
 
 @st.composite
@@ -48,3 +52,51 @@ def ref_satisfies(g, mode, k, xset):
     if mode is Mode.KTUPLE:
         return ref_is_ktuple_dominating(g, k, xset)
     return ref_is_k_dominating(g, k, xset)
+
+
+# The greedy loop that re-scores the heap's top vertex from its adjacency at
+# every inspection, as solve() did before it kept scores current; solve()
+# must return the same Solution.
+def ref_solve(g, mode, k=1):
+    check_k(g, mode, k)
+    kdom = mode is Mode.KDOM
+    n = g.n
+    adjacency = g.adjacency
+    count = [0] * n
+    gain0 = self_gain(mode, k, 0)
+    heap = [(-(len(adjacency[v]) + gain0), v) for v in range(n)]
+    heapq.heapify(heap)
+    covered = 0
+    records: list[IterationRecord] = []
+    while covered < n:
+        while True:
+            stored, best = heap[0]
+            best_score = 0
+            for u in adjacency[best]:
+                if count[u] < k:
+                    best_score += 1
+            if count[best] < k:
+                best_score += k - count[best] if kdom else 1
+            if best_score == -stored:
+                break
+            heapq.heapreplace(heap, (-best_score, best))
+        heapq.heappop(heap)
+        _, rec = apply_step(g, mode, k, count, best, len(records) + 1, covered)
+        covered = rec.covered_after
+        records.append(rec)
+    return Solution(
+        mode=mode,
+        k=k,
+        chosen=tuple(rec.vertex for rec in records),
+        iterations=tuple(records),
+        graph_fingerprint=ref_fingerprint(g),
+        trivial=is_trivial(g, mode, k),
+    )
+
+
+def ref_fingerprint(g):
+    """Graph.fingerprint() from one f-string per edge, as it was first written."""
+    payload = f"n={g.n};m={g.m};" + "".join(
+        [f"{u},{v};" for u, row in enumerate(g.adjacency) for v in row if u < v]
+    )
+    return (g.n, g.m, hashlib.sha256(payload.encode()).hexdigest()[:16])

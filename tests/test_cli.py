@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import pytest
 
@@ -13,11 +14,12 @@ from multidom import (
     Mode,
     build_ledger,
     check_neighborhood_bound,
+    harmonic,
     parse_dimacs,
     solve,
     write_dimacs,
 )
-from multidom.cli import main
+from multidom.cli import _any_int_digits, main
 
 
 C6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -139,6 +141,41 @@ def test_verify_skip_exits_nonzero(tmp_path, capsys):
     assert main(["verify", str(path), "--mode", "ktuple", "--k", "3"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["skip_reason"] is not None
+
+
+def test_verify_renders_bounds_of_any_size(tmp_path, capsys):
+    # The centre of star(10500) has bound H(10500), whose denominator has
+    # more digits than the interpreter converts to str by default.
+    star = Graph(10500, [(0, i) for i in range(1, 10500)])
+    path = tmp_path / "star.dimacs"
+    path.write_text(write_dimacs(star))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["verify", str(path), "--mode", "dom"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    centre = json.loads(capsys.readouterr().out)["ledger"][0]
+    h = harmonic(10500)
+    with _any_int_digits():
+        assert centre == {"vertex": 0, "lhs": "1/1", "bound": f"{h.numerator}/{h.denominator}"}
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_huge_k_is_usage_error(tmp_path, capsys, command):
+    # n * k arrivals above the cap are refused before the ledger stores any.
+    k = 10**11
+    path = tmp_path / "p3.dimacs"
+    path.write_text(write_dimacs(Graph(3, [(0, 1), (1, 2)])))
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{"spec": {"family": "path", "n": 3}, "mode": "kdom", "k": k}]))
+    argv = {
+        "verify": ["verify", str(path), "--mode", "kdom", "--k", str(k)],
+        "bench": ["bench", "--corpus", str(corpus)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: k={k} needs n * k = {3 * k} arrivals, above the cap of {MAX_VERTICES}\n"
+    )
 
 
 def test_bench_custom_corpus(tmp_path, capsys):

@@ -1,10 +1,20 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
-from multidom import MAX_VERTICES, Graph, GraphError, KOutOfRangeError, Mode, satisfies
+from multidom import (
+    MAX_VERTICES,
+    FamilySpec,
+    Graph,
+    GraphError,
+    KOutOfRangeError,
+    Mode,
+    generate,
+    satisfies,
+)
 from conftest import (
     graphs,
+    ref_fingerprint,
     ref_is_dominating,
     ref_is_k_dominating,
     ref_is_ktuple_dominating,
@@ -173,3 +183,17 @@ def test_fingerprint_and_equality():
     # Pinned: saved traces carry this digest, so its format must not drift.
     assert digest == "ad2ff02e2d0e9c61"
     assert Graph(1).fingerprint() == (1, 0, "22aacb9a12e5d042")
+
+
+@given(graphs(max_n=12))
+@example(Graph(1))
+@example(Graph(5, [(3, 4)]))  # isolated vertices, and 4 has no higher neighbour
+@example(Graph(4, [(0, 3), (1, 3), (2, 3)]))  # only the last row lacks higher ids
+def test_fingerprint_matches_per_edge_payload(g):
+    assert g.fingerprint() == ref_fingerprint(g)
+
+
+def test_fingerprint_matches_per_edge_payload_on_erdos_renyi():
+    for n, p in ((40, 0.0), (40, 0.3), (40, 1.0), (400, 0.25)):
+        g = generate(FamilySpec("erdos_renyi", n=n, p=p, seed=1))
+        assert g.fingerprint() == ref_fingerprint(g)

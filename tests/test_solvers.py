@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from multidom import (
@@ -18,7 +18,7 @@ from multidom import (
     verify_greedy_optimality,
 )
 from multidom.solvers import problem_key
-from conftest import graphs
+from conftest import graphs, ref_solve
 
 
 def cycle(n):
@@ -294,6 +294,36 @@ def test_heap_matches_reference_on_tie_heavy_families():
             sol = solve(g, mode, k)
             assert is_valid_solution(g, sol), (spec, mode, k)
             assert verify_greedy_optimality(g, sol), (spec, mode, k)
+
+
+def _every_admissible_run(g):
+    """Every (mode, k) that solve accepts on g, kdom up to two past max_degree."""
+    yield Mode.DOM, 1
+    for k in range(1, g.min_degree() + 2):
+        yield Mode.KTUPLE, k
+    for k in range(1, g.max_degree() + 3):
+        yield Mode.KDOM, k
+
+
+def _erdos_renyi(n, p, seed):
+    return generate(FamilySpec("erdos_renyi", n=n, p=p, seed=seed))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(
+        graphs(max_n=12),
+        st.builds(_erdos_renyi, st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32)),
+    )
+)
+@example(Graph(1))
+@example(Graph(7))
+@example(_erdos_renyi(40, 1.0, 0))
+def test_solve_matches_rescoring_reference(g):
+    # Kept scores must give the whole Solution the re-scoring loop gives:
+    # the same picks, ties, records and fingerprint, trivial kdom included.
+    for mode, k in _every_admissible_run(g):
+        assert solve(g, mode, k) == ref_solve(g, mode, k), (mode, k)
 
 
 def test_determinism():
