@@ -5,10 +5,13 @@ Two text formats:
 * dimacs: `c` comment lines, one `p edge <n> <m>` header, then exactly m
   `e <u> <v>` lines with 1-based endpoints.  The canonical layout that
   write_dimacs emits (the header, then only `e` lines, single spaces, ASCII
-  digits without leading zeros, every line ending in `\n`) is read in bulk,
-  a bounded chunk at a time.  Any other layout, and any canonical-looking
-  input that fails, goes to the line-by-line reader, which gives the same
-  graph and is the only source of error messages.
+  digits without leading zeros, every line ending in `\n`) is read in bulk:
+  each chunk of about 8 KB of whole lines is checked by one regex match, and
+  its ids are read by one C-level scan (json.loads of the chunk with its
+  `e` tags and spaces turned into commas) into one flat list of 0-based
+  ids, which goes to Graph()'s bulk builder as pairs.  Any other layout, and
+  any canonical-looking input that fails, goes to the line-by-line reader,
+  which gives the same graph and is the only source of error messages.
 * edgelist: `#` comment lines and `u v` pairs with 0-based endpoints.  The
   writer emits a leading `# n <n>` directive so isolated trailing vertices
   survive a round trip; the parser honors the directive, rejects a second
@@ -18,8 +21,8 @@ Two text formats:
 Parse errors carry the 1-based line number.  A vertex count outside
 1..graph.MAX_VERTICES is reported at the dimacs `p` line or the edgelist
 `# n` line, and a count from n or the largest id at the end.  Writers
-emit edges sorted, so output is canonical: parse(write(g)) == g for every
-graph.
+emit edges sorted, one adjacency row at a time (Graph.edge_text), so output
+is canonical: parse(write(g)) == g for every graph.
 """
 
 from __future__ import annotations
@@ -100,35 +103,48 @@ def parse_dimacs(text: str) -> Graph:
     if head is not None:
         try:
             n, m = int(head[1]), int(head[2])
-            return Graph(n, _canonical_edges(text, head.end(), n, m))
+            check_vertex_count(n)  # before the id table is allocated
+            return Graph(n, _Pairs(_canonical_ends(text, head.end(), n, m)))
         except (ValueError, IndexError):
             # _NotCanonical, a GraphError (range, self-loop, vertex cap), an
-            # int() over its digit limit, or an endpoint past n (IndexError):
+            # int over the digit limit, or an endpoint past n (IndexError):
             # the line reader finds the same graph or says what is wrong.
             pass
     return _parse_dimacs_lines(text)
 
 
-def _canonical_edges(text: str, pos: int, n: int, m: int) -> Iterator[tuple[int, int]]:
-    """Yield the 0-based edges of the canonical body text[pos:], one chunk
-    of whole lines at a time.  Raise _NotCanonical on a chunk outside the
-    layout or an e-line count other than m."""
+def _canonical_ends(text: str, pos: int, n: int, m: int) -> list[int]:
+    """The 0-based endpoints u1, v1, u2, v2, ... of the canonical body
+    text[pos:], read one chunk of whole lines at a time.  Raise _NotCanonical
+    on a chunk outside the layout or an e-line count other than m."""
     ids = list(range(-1, n))  # ids[u] == u - 1, one int object per vertex
-    open_ends = 2 * m
+    ends: list[int] = []
     size = len(text)
     while pos < size:
         end = text.find("\n", pos + _CHUNK) + 1 or size
         chunk = text[pos:end]
         if _CANONICAL_EDGES.fullmatch(chunk) is None:
             raise _NotCanonical
-        tokens = chunk.split()
-        del tokens[::3]  # the "e" of every line
-        open_ends -= len(tokens)
-        ends = map(ids.__getitem__, map(int, tokens))
-        yield from zip(ends, ends)
+        # "e 1 2\ne 3 4\n" -> "[1,2,3,4]": the regex admitted only digits,
+        # so one C-level scan reads every id of the chunk.
+        ids_text = chunk[2:-1].replace("\ne ", ",").replace(" ", ",")
+        ends += map(ids.__getitem__, json.loads("[" + ids_text + "]"))
         pos = end
-    if open_ends:
+    if len(ends) != 2 * m:
         raise _NotCanonical
+    return ends
+
+
+class _Pairs:
+    """The (u, v) pairs of a flat endpoint list, iterable more than once, so
+    Graph() needs no list of pair tuples to rescan."""
+
+    def __init__(self, ends: list[int]):
+        self.ends = ends
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        ends = iter(self.ends)
+        return zip(ends, ends)
 
 
 def _parse_dimacs_lines(text: str) -> Graph:
@@ -179,9 +195,7 @@ def _parse_dimacs_lines(text: str) -> Graph:
 
 
 def write_dimacs(g: Graph) -> str:
-    lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return f"p edge {g.n} {g.m}\n" + g.edge_text(1, "e ", " ", "\n")
 
 
 def parse_edge_list(text: str, *, n: int | None = None) -> Graph:
@@ -229,9 +243,7 @@ def parse_edge_list(text: str, *, n: int | None = None) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
-    lines = [f"# n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return f"# n {g.n}\n" + g.edge_text(0, "", " ", "\n")
 
 
 # -- structured documents ----------------------------------------------------

@@ -3,7 +3,7 @@ import heapq
 
 import hypothesis.strategies as st
 
-from multidom import Graph, IterationRecord, Mode, Solution, apply_step, self_gain
+from multidom import Graph, GraphError, IterationRecord, Mode, Solution, apply_step, self_gain
 from multidom.solvers import check_k, is_trivial
 
 
@@ -100,3 +100,34 @@ def ref_fingerprint(g):
         [f"{u},{v};" for u, row in enumerate(g.adjacency) for v in row if u < v]
     )
     return (g.n, g.m, hashlib.sha256(payload.encode()).hexdigest()[:16])
+
+
+# Graph()'s per-edge loop as it was before the bulk builder: it checks each
+# edge before appending it, so its error names the first bad edge.  Returns
+# the adjacency, or the GraphError text; Graph() must give the same.
+def ref_graph(n, edges):
+    rows = [[] for _ in range(n)]
+    try:
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u} is not allowed")
+            rows[u].append(v)
+            rows[v].append(u)
+    except GraphError as exc:
+        return str(exc)
+    return tuple(tuple(sorted(set(row))) for row in rows)
+
+
+# The graph writers with one f-string per edge, as first written.
+def ref_write_dimacs(g):
+    lines = [f"p edge {g.n} {g.m}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def ref_write_edge_list(g):
+    lines = [f"# n {g.n}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
@@ -15,6 +17,7 @@ from multidom import (
 from conftest import (
     graphs,
     ref_fingerprint,
+    ref_graph,
     ref_is_dominating,
     ref_is_k_dominating,
     ref_is_ktuple_dominating,
@@ -62,6 +65,57 @@ def test_adjacency_matches_set_built_reference(data):
     assert g.adjacency == tuple(tuple(sorted(s)) for s in nbrs)
     assert g.m == sum(len(s) for s in nbrs) // 2
     assert g.fingerprint() == Graph(n, list(g.edges())).fingerprint()
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): duplicates in both orientations in any order, isolated
+    vertices and n = 1, then sometimes bad edges inserted anywhere."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=30))
+    edges = draw(st.permutations(edges + draw(st.lists(st.sampled_from(edges))) if edges else []))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    outside = st.integers(-2 * n - 1, -1) | st.integers(n, 2 * n + 1)
+    bad = st.one_of(
+        st.tuples(ids, outside),
+        st.tuples(outside, ids),
+        ids.map(lambda v: (v, v)),
+        outside.map(lambda v: (v, v)),  # out of range is named before a self-loop
+        st.tuples(ids),  # not a pair
+        st.tuples(ids, ids, ids),
+        ids,
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        edges.insert(draw(st.integers(0, len(edges))), draw(bad))
+    return n, edges
+
+
+def _graph_outcome(n, edges):
+    try:
+        return Graph(n, edges).adjacency
+    except GraphError as exc:
+        return str(exc)
+
+
+@given(edge_lists(), st.booleans())
+@example((1, []), False)
+@example((3, [(0, 1), (1, 0), (2, 2), (0, 5)]), False)  # the self-loop comes first
+@example((3, [(0, 1), (2, -2)]), False)  # a wrapped id is the only bad edge
+@example((3, [(1, -2), (0, 0)]), True)  # a wrapped id that lands in its own row
+@example((3, [(0, 1), (2,), (1, 1)]), False)  # not a pair, before a self-loop
+def test_graph_matches_per_edge_reference(case, one_pass):
+    n, edges = case
+    arg = iter(edges) if one_pass else edges
+    try:
+        expected = ref_graph(n, edges)
+    except (ValueError, TypeError) as exc:  # an edge that is not a pair
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            Graph(n, arg)
+        return
+    assert _graph_outcome(n, arg) == expected
+    if not isinstance(expected, str):
+        assert Graph(n, edges).m == sum(map(len, expected)) // 2
 
 
 def test_construction_errors():

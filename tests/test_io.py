@@ -5,7 +5,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from multidom import (
     CSV_COLUMNS,
@@ -30,7 +30,7 @@ from multidom import (
     write_report_json,
 )
 from multidom import graphio
-from conftest import graphs
+from conftest import graphs, ref_write_dimacs, ref_write_edge_list
 
 
 P4_DIMACS = "c a path\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
@@ -108,6 +108,7 @@ def _lines_mutation(lines, n, draw):
     kind = draw(st.sampled_from((
         "comment", "blank", "crlf", "double_space", "leading_zero", "no_final_newline",
         "duplicate_edge", "id_zero", "id_past_n", "self_loop", "wrong_m", "huge_int",
+        "reversed_edge", "shuffle",
     )))
     at = draw(st.integers(1, len(lines)))  # a line index after the header
     e_lines = [i for i in range(1, len(lines)) if lines[i].startswith("e")]
@@ -145,6 +146,13 @@ def _lines_mutation(lines, n, draw):
         lines[i] = " ".join(fields)
     elif kind == "self_loop":
         lines.insert(at, f"e {draw(st.integers(1, n))} {draw(st.integers(1, n))}")
+    # These two keep the canonical layout but leave rows out of order.
+    elif kind == "reversed_edge" and e_lines:
+        i = draw(st.sampled_from(e_lines))
+        fields = lines[i].split()
+        lines[i] = " ".join(fields[:1] + fields[:0:-1])
+    elif kind == "shuffle":
+        lines[1:] = draw(st.permutations(lines[1:]))
     return "\n".join(lines) + "\n"
 
 
@@ -166,6 +174,22 @@ def test_bulk_dimacs_matches_line_reader(g, data, chunk):
     # Small chunks put chunk edges inside these small graphs.
     with mock.patch.object(graphio, "_CHUNK", chunk):
         assert _outcome(parse_dimacs, text) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(graphs(max_n=12))
+@example(Graph(1))
+@example(Graph(5, [(3, 4)]))  # isolated vertices, and 4 has no higher neighbour
+def test_writers_match_per_edge_references(g):
+    assert write_dimacs(g) == ref_write_dimacs(g)
+    assert write_edge_list(g) == ref_write_edge_list(g)
+
+
+def test_writers_match_per_edge_references_on_erdos_renyi():
+    for n, p in ((40, 0.0), (40, 1.0), (400, 0.25)):
+        g = generate(FamilySpec("erdos_renyi", n=n, p=p, seed=1))
+        assert write_dimacs(g) == ref_write_dimacs(g)
+        assert write_edge_list(g) == ref_write_edge_list(g)
 
 
 def test_parse_edge_list_basic():
