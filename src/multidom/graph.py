@@ -47,7 +47,8 @@ def check_vertex_count(n: int) -> None:
 class Graph:
     """Undirected simple graph with a fixed vertex range 0..n-1.
 
-    adjacency[v] is the ascending tuple of v's neighbours.  Self-loops are
+    adjacency[v] is the ascending tuple of v's neighbours.  Endpoints are
+    ints (a bool, or any type with __index__, counts as one), self-loops are
     rejected, duplicate edges collapse to one, and n must be in
     1..MAX_VERTICES.  edges is read after n is checked, and read a second
     time only to name a bad edge; a one-pass iterator is copied into a list
@@ -164,9 +165,11 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
 
 
 def _raise_first_bad_edge(n: int, edges: Iterable[tuple[int, int]]) -> None:
-    """Raise for the first edge, in input order, that is not a pair or has
-    an endpoint outside 0..n-1 or is a self-loop; return if there is none."""
+    """Raise for the first edge, in input order, that is not a pair of ints
+    in 0..n-1 or is a self-loop; return if there is none."""
     for u, v in edges:
+        if not (hasattr(u, "__index__") and hasattr(v, "__index__")):  # cannot index a row
+            raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:

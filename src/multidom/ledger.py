@@ -20,12 +20,11 @@ replayed one, and checks the three facts the analysis needs exactly:
   that potential, so the charges telescope to the harmonic number.
 
 Every score is at most max_degree + self_gain(mode, k, 0), so every charge,
-every row sum and every step of the residual telescoping is an integer
+row sum, harmonic bound and step of the residual telescoping is an integer
 multiple of 1/unit, unit = lcm(1..max_degree + self_gain(mode, k, 0)).  The
-checks therefore sum exact Python ints (shares[i] = unit // scores[i]) and
-compare harmonic bounds by cross-multiplying; a Fraction is built only where
-the API returns one.  Floats only appear when comparing harmonic numbers
-against logarithms.
+checks therefore compare exact Python ints, shares of unit; a Fraction is
+built only for the rows audit() returns, and floats only appear when
+comparing harmonic numbers against logarithms.
 audit() runs the sum identity and every vertex's neighborhood bound in one
 pass; check_subset_cost_bound is called per vertex and subset.
 """
@@ -33,7 +32,6 @@ pass; check_subset_cost_bound is called per vertex and subset.
 from __future__ import annotations
 
 __all__ = [
-    "harmonic",
     "check_harmonic_inequalities",
     "check_harmonic_log_bound",
     "CostLedger",
@@ -49,25 +47,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterable
+from itertools import accumulate, islice
+from typing import Iterable, Iterator
 
 from .graph import MAX_VERTICES, Graph
 from .solvers import Mode, Solution, apply_step, check_k, is_trivial, self_gain
 
-_HARMONIC_CACHE: list[Fraction] = [Fraction(0)]
-
 # Float slack of H(x) <= ln(x) + 1, which holds with equality at x = 1.
 LOG_BOUND_TOL = 1e-12
-
-
-def harmonic(x: int) -> Fraction:
-    """Exact harmonic number 1 + 1/2 + ... + 1/x, with harmonic(0) = 0."""
-    if x < 0:
-        raise ValueError(f"harmonic number needs x >= 0, got {x}")
-    while len(_HARMONIC_CACHE) <= x:
-        i = len(_HARMONIC_CACHE)
-        _HARMONIC_CACHE.append(_HARMONIC_CACHE[-1] + Fraction(1, i))
-    return _HARMONIC_CACHE[x]
 
 
 def lcm_upto(x: int) -> int:
@@ -88,6 +75,12 @@ def lcm_upto(x: int) -> int:
     return unit
 
 
+def scaled_harmonics(unit: int, x_max: int) -> Iterator[int]:
+    """unit * H(0), unit * H(1), ..., unit * H(x_max) as running sums of
+    unit // i, each exact when unit is a multiple of lcm(1..x_max)."""
+    return accumulate((unit // i for i in range(1, x_max + 1)), initial=0)
+
+
 def check_harmonic_inequalities(x_max: int) -> bool:
     """Exhaustively check the two harmonic-number facts up to x_max.
 
@@ -98,10 +91,7 @@ def check_harmonic_inequalities(x_max: int) -> bool:
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     lcm = lcm_upto(x_max)
-    # scaled[i] = H(i) * lcm, an exact integer.
-    scaled = [0] * (x_max + 1)
-    for i in range(1, x_max + 1):
-        scaled[i] = scaled[i - 1] + lcm // i
+    scaled = list(scaled_harmonics(lcm, x_max))  # scaled[i] = H(i) * lcm
     for x in range(1, x_max + 1):
         sx = scaled[x]
         for y in range(x + 1):
@@ -116,13 +106,9 @@ def check_harmonic_log_bound(x_max: int) -> bool:
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     unit = lcm_upto(x_max)
-    scaled = 0  # H(x) * unit, an exact integer
-    for x in range(1, x_max + 1):
-        scaled += unit // x
-        # int / int is correctly rounded, so this is float(H(x)) exactly.
-        if scaled / unit > math.log(x) + 1 + LOG_BOUND_TOL:
-            return False
-    return True
+    scaled = islice(scaled_harmonics(unit, x_max), 1, None)  # H(x) * unit from x = 1
+    # int / int is correctly rounded, so h / unit is float(H(x)) exactly.
+    return all(h / unit <= math.log(x) + 1 + LOG_BOUND_TOL for x, h in enumerate(scaled, 1))
 
 
 @dataclass(frozen=True)
@@ -138,11 +124,12 @@ class CostLedger:
     that iteration caused.  joined[v] is the iteration that chose v, or
     len(scores) + 1 if v was never chosen.
 
-    unit = lcm(1..max_degree + self_gain(mode, k, 0)) and shares[i-1] =
+    unit = lcm(1..max_degree + self_gain(mode, k, 0)), shares[i-1] =
     unit // scores[i-1], so one arrival of iteration i costs shares[i-1] /
-    unit exactly.  Both are derived from scores and the graph, never passed
-    in; a score outside 1..max_degree + self_gain(mode, k, 0), which no
-    greedy step can have, raises ValueError.
+    unit exactly, and harmonics[x] = unit * H(x) for each x = deg(w) +
+    self_gain(mode, k, 0).  All three are derived from scores and the graph,
+    never passed in; a score outside 1..max_degree + self_gain(mode, k, 0),
+    which no greedy step can have, raises ValueError.
 
     The one charge rule: v's own coverage costs a share per arrival, and w
     in N[v] is charged for it a share of iteration min(joined[w],
@@ -157,17 +144,23 @@ class CostLedger:
     joined: tuple[int, ...]
     unit: int = field(init=False, repr=False)
     shares: tuple[int, ...] = field(init=False, repr=False)
+    harmonics: dict[int, int] = field(init=False, repr=False, compare=False)  # a dict: not hashed
 
     def __post_init__(self) -> None:
-        top = self.graph.max_degree() + self_gain(self.mode, self.k, 0)
+        gain = self_gain(self.mode, self.k, 0)
+        top = self.graph.max_degree() + gain
         for i, s in enumerate(self.scores, start=1):
             if not 1 <= s <= top:
                 raise ValueError(f"iteration {i} has score {s} outside 1..{top}")
         unit = lcm_upto(top)
         # One int per distinct score, shared by every iteration that has it.
         by_score = {s: unit // s for s in set(self.scores)}
+        # One pass up to top, keeping only the x values some bound reads.
+        needed = {len(row) + gain for row in self.graph.adjacency}
+        hs = {x: h for x, h in enumerate(scaled_harmonics(unit, top)) if x in needed}
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "shares", tuple(map(by_score.__getitem__, self.scores)))
+        object.__setattr__(self, "harmonics", hs)
 
     def covered_at(self, v: int) -> int:
         """Iteration at which v's requirement became fully satisfied.
@@ -268,19 +261,19 @@ def build_ledger(g: Graph, sol: Solution) -> CostLedger:
     )
 
 
-def check_sum_identity(ledger: CostLedger) -> Fraction:
-    """Total of all per-vertex coverage charges; equals len(chosen) exactly.
+def check_sum_identity(ledger: CostLedger) -> int:
+    """Total of all per-vertex coverage charges, in shares of ledger.unit;
+    equals len(chosen) * ledger.unit exactly.
 
     Each iteration splits one unit of cost over its arrival events, so the
     grand total counts one unit per chosen vertex.  The arrivals are counted
-    per iteration first, so the total is sum_i count_i * shares[i-1], one
-    Fraction over ledger.unit.
+    per iteration first, so the total is sum_i count_i * shares[i-1].
     """
     counts = [0] * len(ledger.scores)
     for its in ledger.arrivals:
         for it in its:
             counts[it - 1] += 1
-    return Fraction(sum(c * s for c, s in zip(counts, ledger.shares)), ledger.unit)
+    return sum(c * s for c, s in zip(counts, ledger.shares))
 
 
 def check_subset_cost_bound(ledger: CostLedger, v: int, subset: Iterable[int]) -> bool:
@@ -301,8 +294,9 @@ def check_subset_cost_bound(ledger: CostLedger, v: int, subset: Iterable[int]) -
     return own <= sum(shares[min(joined[w], arrivals_v[-1]) - 1] for w in w_set)
 
 
-def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Fraction]:
-    """(lhs, bound) for the per-vertex harmonic bound; lhs <= bound must hold.
+def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[int, int]:
+    """(lhs, bound) for the per-vertex harmonic bound, both in shares of
+    ledger.unit; lhs <= bound must hold.
 
     lhs is the charge w takes: its charge for each neighbor v, plus its
     self-charge, one charge per arrival that w's self-gain could settle,
@@ -310,8 +304,8 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Frac
     those are all k of w's arrivals, each at or before joined[w], so the
     self-charge is all of w's own coverage charge; otherwise it is the one
     charge for covered_at(w).  The bound is H(deg(w) + self_gain(mode, k, 0)),
-    that is H(deg(w) + 1), or H(deg(w) + k) for k-domination.  lhs is summed in
-    shares and divided by ledger.unit once.
+    that is H(deg(w) + 1), or H(deg(w) + k) for k-domination, read from
+    ledger.harmonics.
     """
     g = ledger.graph
     g._check_vertex(w)
@@ -320,18 +314,18 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[Fraction, Frac
     gain = self_gain(ledger.mode, ledger.k, 0)
     lhs = sum(shares[min(join_w, arrivals[v][-1]) - 1] for v in g.adjacency[w])
     lhs += sum(shares[min(join_w, it) - 1] for it in arrivals[w][-gain:])
-    return Fraction(lhs, ledger.unit), harmonic(g.degree(w) + gain)
+    return lhs, ledger.harmonics[g.degree(w) + gain]
 
 
-def check_residual_decomposition(ledger: CostLedger, w: int, lhs: Fraction) -> bool:
+def check_residual_decomposition(ledger: CostLedger, w: int, lhs: int) -> bool:
     """Confirm the harmonic-bound derivation step by step around w.
 
     lhs is w's charge as returned by check_neighborhood_bound.  Three facts,
     the first two exact, and together they imply the neighborhood bound:
     lhs equals sum_i (r_{i-1} - r_i)/score_i; that is at most
     sum_i (r_{i-1} - r_i)/r_{i-1} because each greedy score dominates the
-    residual; and the latter telescopes to at most H(r_0).  Both sums are
-    kept as integer multiples of 1/ledger.unit: every r_{i-1} is at most
+    residual; and the latter telescopes to at most H(r_0).  Both sums, like
+    lhs, are kept in shares of ledger.unit: every r_{i-1} is at most
     r_0 <= max_degree + self_gain(mode, k, 0), so unit // r_{i-1} is exact.
     """
     r = ledger.residual_sequence(w)
@@ -347,23 +341,24 @@ def check_residual_decomposition(ledger: CostLedger, w: int, lhs: Fraction) -> b
                 return False
             per_score += drop * shares[i - 1]
             per_residual += drop * (unit // r[i - 1])
-    h = harmonic(r[0])
-    return (
-        lhs.numerator * unit == per_score * lhs.denominator
-        and per_score <= per_residual
-        and per_residual * h.denominator <= h.numerator * unit
-    )
+    h = ledger.harmonics.get(r[0])
+    if h is None:  # r_0 is not deg(w) + self_gain: a forged ledger
+        *_, h = scaled_harmonics(unit, r[0])
+    return lhs == per_score and per_score <= per_residual and per_residual <= h
 
 
 def audit(ledger: CostLedger) -> tuple[bool, tuple[tuple[Fraction, Fraction], ...]]:
-    """(passed, rows): every vertex's (lhs, bound) neighborhood row, and
-    whether the sum identity holds and each row passes lhs <= bound and its
-    residual decomposition.  After the first failure the rows are still
+    """(passed, rows): every vertex's (lhs, bound) neighborhood row, as
+    reduced Fractions, and whether the sum identity holds and each row
+    passes lhs <= bound and its residual decomposition, all compared in
+    shares of ledger.unit.  After the first failure the rows are still
     computed, but no further decomposition is checked."""
-    passed = check_sum_identity(ledger) == len(ledger.scores)
+    unit = ledger.unit
+    passed = check_sum_identity(ledger) == len(ledger.scores) * unit
+    bounds = {h: Fraction(h, unit) for h in ledger.harmonics.values()}
     rows = []
     for w in range(ledger.graph.n):
         lhs, bound = check_neighborhood_bound(ledger, w)
-        rows.append((lhs, bound))
+        rows.append((Fraction(lhs, unit), bounds[bound]))
         passed = passed and lhs <= bound and check_residual_decomposition(ledger, w, lhs)
     return passed, tuple(rows)

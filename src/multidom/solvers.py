@@ -298,7 +298,8 @@ def satisfies(g: Graph, mode: Mode, k: int, xs: Iterable[int]) -> bool:
         check_k(g, mode, k)
     count = [0] * g.n
     for x in set(xs):
-        for u in g.neighbors(x):
+        g._check_vertex(x)
+        for u in g.adjacency[x]:
             count[u] += 1
         count[x] += self_gain(mode, k, 0)
     return min(count) >= k

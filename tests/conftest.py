@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+from fractions import Fraction
 
 import hypothesis.strategies as st
 
@@ -22,6 +23,14 @@ def graphs(draw, min_n: int = 1, max_n: int = 10):
 @st.composite
 def vertex_subsets(draw, g: Graph):
     return frozenset(draw(st.lists(st.integers(0, g.n - 1), unique=True)))
+
+
+def harmonic(x):
+    """Exact harmonic number 1 + 1/2 + ... + 1/x, with harmonic(0) = 0: the
+    Fraction reference of the ledger's integer bounds, unit * H(x)."""
+    if x < 0:
+        raise ValueError(f"harmonic number needs x >= 0, got {x}")
+    return sum((Fraction(1, i) for i in range(1, x + 1)), Fraction(0))
 
 
 # Frozenset references for the three coverage requirements, written from

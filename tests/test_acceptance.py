@@ -109,7 +109,7 @@ def test_c01_corpus_ratio_bounds(corpus_reports, report):
 
 def test_c02_ledger_sum_identity(corpus_ledgers, report):
     ok = all(
-        check_sum_identity(ledger) == Fraction(sol.size)
+        Fraction(check_sum_identity(ledger), ledger.unit) == Fraction(sol.size)
         for _, _, sol, ledger in corpus_ledgers
     )
     report(

@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,12 +15,13 @@ from multidom import (
     Mode,
     build_ledger,
     check_neighborhood_bound,
-    harmonic,
     parse_dimacs,
     solve,
     write_dimacs,
 )
 from multidom.cli import _any_int_digits, main
+
+from conftest import harmonic
 
 
 C6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -125,7 +127,7 @@ def test_verify(c6_path, capsys):
         ledger = build_ledger(C6, solve(C6, mode, k))
         expected = []
         for w in range(C6.n):
-            lhs, bound = check_neighborhood_bound(ledger, w)
+            lhs, bound = (Fraction(x, ledger.unit) for x in check_neighborhood_bound(ledger, w))
             expected.append({
                 "vertex": w,
                 "lhs": f"{lhs.numerator}/{lhs.denominator}",

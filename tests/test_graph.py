@@ -131,6 +131,25 @@ def test_construction_errors():
         Graph(3, [(1, 1)])
 
 
+def test_non_int_endpoint_is_graph_error():
+    # Named as a GraphError, not the TypeError of indexing a row with it, and
+    # only when it is the first bad edge in input order.
+    for edges, named in (
+        ([(1.0, 2)], "(1.0, 2)"),
+        ([(1, 2.0)], "(1, 2.0)"),
+        ([("a", 2)], "('a', 2)"),
+        ([(0, 1), (1, None), (0, 5)], "(1, None)"),
+    ):
+        text = f"^edge {re.escape(named)} has an endpoint that is not an int$"
+        for arg in (edges, iter(edges)):
+            with pytest.raises(GraphError, match=text):
+                Graph(3, arg)
+    with pytest.raises(GraphError, match=r"^edge \(0, 5\) has an endpoint outside 0\.\.2$"):
+        Graph(3, [(0, 5), (1.0, 2)])
+    # A bool is an int.
+    assert Graph(3, [(True, 2), (False, 2)]) == Graph(3, [(1, 2), (0, 2)])
+
+
 def test_vertex_cap_checked_before_edges_are_read():
     def edges():
         raise AssertionError("edges read before the vertex cap check")

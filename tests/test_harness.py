@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,28 @@ from multidom import (
 
 def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+@pytest.mark.parametrize(
+    "g, mode, k",
+    [(star(6000), Mode.DOM, 1), (Graph(3, [(0, 1), (1, 2)]), Mode.KDOM, 20000)],
+    ids=["star6000-dom", "p3-kdom-20000"],
+)
+def test_verify_instance_keeps_no_state(g, mode, k):
+    # Bounds H(6001) and H(20002) have denominators of thousands of digits;
+    # once the report is dropped, nothing built for them may stay behind.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_instance(g, mode, k)
+        assert report.ledger_checks_passed is True
+        del report
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
 
 
 def test_approximation_bound_values():

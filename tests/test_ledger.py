@@ -27,12 +27,11 @@ from multidom import (
     check_sum_identity,
     default_corpus,
     generate,
-    harmonic,
     self_gain,
     solve,
 )
 from multidom.ledger import lcm_upto
-from conftest import graphs
+from conftest import graphs, harmonic
 
 
 def star(leaves):
@@ -95,10 +94,10 @@ def test_dom_ledger_on_p3():
     led = build_ledger(g, sol)
     for v in range(3):
         assert _ref_cost(led, v, 1) == Fraction(1, 3)
-    assert check_sum_identity(led) == 1
+    assert Fraction(check_sum_identity(led), led.unit) == 1
     lhs, bound = check_neighborhood_bound(led, 1)
-    assert lhs == 1
-    assert bound == Fraction(11, 6)
+    assert Fraction(lhs, led.unit) == 1
+    assert Fraction(bound, led.unit) == Fraction(11, 6)
 
 
 def test_ktuple_ledger_on_star():
@@ -109,7 +108,7 @@ def test_ktuple_ledger_on_star():
     # vertex, so every cost charged to it is 1/7.
     for v in range(7):
         assert _ref_cost(led, v, 0) == Fraction(1, 7)
-    assert check_sum_identity(led) == 7
+    assert Fraction(check_sum_identity(led), led.unit) == 7
 
 
 def test_kdom_ledger_on_star():
@@ -120,7 +119,7 @@ def test_kdom_ledger_on_star():
     assert sol.iterations[0].score == 8
     for v in range(7):
         assert _ref_cost(led, v, 0) == Fraction(1, 8)
-    assert check_sum_identity(led) == 7
+    assert Fraction(check_sum_identity(led), led.unit) == 7
 
 
 def test_arrival_bookkeeping():
@@ -320,7 +319,7 @@ def test_cost_domain_checked():
         with pytest.raises(ValueError):
             check_neighborhood_bound(led, v)
         with pytest.raises(ValueError):
-            check_residual_decomposition(led, v, Fraction(0))
+            check_residual_decomposition(led, v, 0)
         with pytest.raises(GraphError):
             _ref_own_cost_sum(led, v)
         with pytest.raises(GraphError):
@@ -365,8 +364,8 @@ def test_audit_matches_pinned_digest():
             lhs, bound = check_neighborhood_bound(led, w)
             rows.append(
                 [
-                    str(lhs),
-                    str(bound),
+                    str(Fraction(lhs, led.unit)),
+                    str(Fraction(bound, led.unit)),
                     list(led.residual_sequence(w)),
                     check_residual_decomposition(led, w, lhs),
                 ]
@@ -444,13 +443,15 @@ FRACTION_AUDIT = (_ref_sum_identity, _ref_neighborhood_bound, _ref_residual_deco
 
 
 def _audit(led, size, checks):
-    """Everything one path reports: sum, rows, per-vertex verdicts, verdict."""
+    """Everything one path reports: sum, rows, per-vertex verdicts, verdict.
+    The integer path's shares of led.unit are reported as Fractions."""
     sum_identity, bound_row, residual = checks
-    total = sum_identity(led)
+    unit = led.unit if checks is INTEGER_AUDIT else 1
+    total = Fraction(sum_identity(led), unit)
     rows = []
     for w in range(led.graph.n):
         lhs, bound = bound_row(led, w)
-        rows.append((lhs, bound, residual(led, w, lhs)))
+        rows.append((Fraction(lhs, unit), Fraction(bound, unit), residual(led, w, lhs)))
     passed = total == size and all(lhs <= bound and ok for lhs, bound, ok in rows)
     return total, rows, passed
 
@@ -468,8 +469,8 @@ def test_integer_audit_matches_fraction_reference(g):
         assert got[2]
         # audit() is the same pass: its verdict and (lhs, bound) rows.
         assert audit(led) == (want[2], tuple((lhs, bound) for lhs, bound, _ in want[1]))
-        assert isinstance(got[0], Fraction)
-        assert all(isinstance(lhs, Fraction) for lhs, _, _ in got[1])
+        assert isinstance(check_sum_identity(led), int)
+        assert all(isinstance(check_neighborhood_bound(led, w)[0], int) for w in range(g.n))
 
 
 FORGE_GRAPHS = [C6, star(6), path(7), Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])]
@@ -491,12 +492,34 @@ def test_forged_ledgers_rejected_by_both_paths(g):
             assert got == _audit(forged, sol.size, FRACTION_AUDIT)
             assert not got[2]
             assert audit(forged)[0] is False
+        # A last arrival moved to iteration 0 covers v before the run starts,
+        # so its r_0 falls below deg(v) + self_gain.  Both paths must agree on
+        # that ledger and, given the lhs the first fact accepts, on a verdict
+        # that rests on the exact H(r_0), also where the ledger keeps no
+        # value for r_0.
+        off_table = 0
+        for v in range(g.n):
+            moved = led.arrivals[v][:-1] + (0,)
+            forged = dataclasses.replace(
+                led, arrivals=led.arrivals[:v] + (moved,) + led.arrivals[v + 1:]
+            )
+            assert forged.residual_sequence(v)[0] != g.degree(v) + self_gain(mode, k, 0)
+            got = _audit(forged, sol.size, INTEGER_AUDIT)
+            assert got == _audit(forged, sol.size, FRACTION_AUDIT)
+            assert audit(forged)[0] is got[2]
+            for w in range(g.n):
+                r = forged.residual_sequence(w)
+                lhs = sum((a - b) * sh for a, b, sh in zip(r, r[1:], forged.shares))
+                ok = check_residual_decomposition(forged, w, lhs)
+                assert ok is _ref_residual_decomposition(forged, w, Fraction(lhs, forged.unit))
+                off_table += ok and r[0] not in forged.harmonics
+        assert off_table
         # A wrong lhs fails the decomposition, however small the error.
         for w in range(g.n):
             lhs, _ = check_neighborhood_bound(led, w)
-            for wrong in (lhs + Fraction(1, led.unit), lhs - Fraction(1, 10**9), lhs * 2):
+            for wrong in (lhs + 1, lhs - Fraction(led.unit, 10**9), lhs * 2):
                 assert not check_residual_decomposition(led, w, wrong)
-                assert not _ref_residual_decomposition(led, w, wrong)
+                assert not _ref_residual_decomposition(led, w, Fraction(wrong, led.unit))
         # No greedy step scores outside 1..max_degree + self_gain.
         top = g.max_degree() + self_gain(mode, k, 0)
         for bad in (0, top + 1):
@@ -513,8 +536,9 @@ def test_sum_identity_everywhere(g):
     for mode, k in _solvable_modes(g):
         sol = solve(g, mode, k)
         led = build_ledger(g, sol)
-        total = check_sum_identity(led)
-        assert isinstance(total, Fraction)
+        shares = check_sum_identity(led)
+        assert isinstance(shares, int)
+        total = Fraction(shares, led.unit)
         assert total == sol.size
         # The per-iteration grouping keeps the per-arrival total.
         assert total == sum((_ref_own_cost_sum(led, v) for v in range(g.n)), Fraction(0))
