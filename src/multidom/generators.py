@@ -6,6 +6,14 @@ set is byte-identical everywhere.  For erdos_renyi(n, p, seed), the C(n, 2)
 candidate pairs are visited in lexicographic order (0,1), (0,2), ...,
 (n-2, n-1); pair number t is an edge iff the t-th SplitMix64 output is below
 floor(p * 2**64).
+
+splitmix64() is the reference stream.  erdos_renyi draws the same stream in
+blocks instead: SplitMix64 is counter-based, its t-th state being
+seed + t * gamma mod 2**64, so _pair_flags packs up to _LANES states into one
+int, a 64-bit state in each 128-bit lane, and mixes every lane at once with
+big-int shifts, xors and multiplies, masking each lane to 64 bits before
+every multiply so that no carry reaches the next lane.  The edges and their
+order are the same as one draw per pair.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 __all__ = ["FAMILIES", "splitmix64", "FamilySpec", "generate"]
 
 from dataclasses import dataclass
+from itertools import chain, combinations, compress
 from typing import Iterator
 
 from .graph import Graph
@@ -28,6 +37,10 @@ FAMILIES = (
 )
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_LANES = 4096  # draws per block: a 64 KB int
 
 
 def splitmix64(seed: int) -> Iterator[int]:
@@ -39,6 +52,47 @@ def splitmix64(seed: int) -> Iterator[int]:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         yield z ^ (z >> 31)
+
+
+def _pair_flags(seed: int, threshold: int, count: int) -> Iterator[bytes]:
+    """The first count draws of splitmix64(seed) as flag bytes, 1 where the
+    draw is below threshold (0 <= threshold <= 2**64) and 0 elsewhere, in
+    blocks of at most _LANES flags."""
+    if count <= 0:
+        return
+    lanes = min(count, _LANES)
+    ones, index = _lane_constants(lanes)
+    mask = ones * _MASK64
+    # Lane value bar - z is 2**64 + threshold - 1 - z, in 0..2**65 - 1, and
+    # its bit 64 is set iff z < threshold.
+    bar = (threshold + _MASK64) * ones
+    step = (lanes * _GAMMA & _MASK64) * ones
+    state = ((index + ones) * _GAMMA + (seed & _MASK64) * ones) & mask
+    size = 16 * lanes
+    for done in range(0, count, lanes):
+        z = state ^ (state >> 30)
+        z = (z & mask) * _MIX1 & mask
+        z ^= z >> 27
+        z = (z & mask) * _MIX2 & mask
+        z = bar - ((z ^ (z >> 31)) & mask)
+        flags = z.to_bytes(size, "little")[8::16]  # byte 8 of each lane holds bit 64
+        yield flags[: count - done]
+        state = (state + step) & mask
+
+
+def _lane_constants(lanes: int) -> tuple[int, int]:
+    """(ones, index): 1 and j in lane j of lanes 128-bit lanes, built by
+    doubling from the top bit of lanes down, with no byte-order step."""
+    ones = index = size = 0
+    for bit in bin(lanes)[2:]:
+        index += (index + size * ones) << (128 * size)
+        ones |= ones << (128 * size)
+        size *= 2
+        if bit == "1":
+            index |= size << (128 * size)
+            ones |= 1 << (128 * size)
+            size += 1
+    return ones, index
 
 
 @dataclass(frozen=True)
@@ -100,15 +154,8 @@ def generate(spec: FamilySpec) -> Graph:
             raise ValueError(f"erdos_renyi needs 0 <= p <= 1, got {spec.p}")
         if spec.seed is None:
             raise ValueError("erdos_renyi needs an explicit seed")
-        threshold = int(spec.p * (1 << 64))
-        stream = splitmix64(spec.seed)
-        edges = (
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if next(stream) < threshold
-        )
-        return Graph(n, edges)
+        flags = _pair_flags(spec.seed, int(spec.p * (1 << 64)), n * (n - 1) // 2)
+        return Graph(n, compress(combinations(range(n), 2), chain.from_iterable(flags)))
     if fam == "gap_witness":
         if spec.k is None or spec.k < 1:
             raise ValueError(f"gap_witness needs k >= 1, got {spec.k}")

@@ -327,6 +327,11 @@ def check_residual_decomposition(ledger: CostLedger, w: int, lhs: int) -> bool:
     residual; and the latter telescopes to at most H(r_0).  Both sums, like
     lhs, are kept in shares of ledger.unit: every r_{i-1} is at most
     r_0 <= max_degree + self_gain(mode, k, 0), so unit // r_{i-1} is exact.
+
+    The third fact follows from the non-increasing r that the loop checks:
+    each (r_{i-1} - r_i)/r_{i-1} = sum_{j = r_i + 1}^{r_{i-1}} 1/r_{i-1} is at
+    most sum_{j = r_i + 1}^{r_{i-1}} 1/j = H(r_{i-1}) - H(r_i), and these
+    telescope to H(r_0) - H(r_m) <= H(r_0).  It is compared all the same.
     """
     r = ledger.residual_sequence(w)
     unit, scores, shares = ledger.unit, ledger.scores, ledger.shares

@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from multidom import Graph, GraphError, IterationRecord, Mode, Solution, apply_step, self_gain
+from multidom import (
+    Graph,
+    GraphError,
+    IterationRecord,
+    Mode,
+    Solution,
+    apply_step,
+    self_gain,
+    splitmix64,
+)
 from multidom.solvers import check_k, is_trivial
 
 
@@ -127,6 +136,21 @@ def ref_graph(n, edges):
     except GraphError as exc:
         return str(exc)
     return tuple(tuple(sorted(set(row))) for row in rows)
+
+
+# erdos_renyi as it was before the packed-lane kernel: one splitmix64 draw
+# per candidate pair, in lexicographic pair order.  generate() must give the
+# same Graph.
+def ref_erdos_renyi(n, p, seed):
+    threshold = int(p * (1 << 64))
+    stream = splitmix64(seed)
+    edges = (
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if next(stream) < threshold
+    )
+    return Graph(n, edges)
 
 
 # The graph writers with one f-string per edge, as first written.

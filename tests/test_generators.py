@@ -1,10 +1,22 @@
+import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multidom import FAMILIES, MAX_VERTICES, FamilySpec, Graph, GraphError, generate, splitmix64
+from conftest import ref_erdos_renyi
+from multidom import (
+    FAMILIES,
+    MAX_VERTICES,
+    FamilySpec,
+    Graph,
+    GraphError,
+    generate,
+    splitmix64,
+    write_dimacs,
+)
+from multidom.generators import _LANES, _pair_flags
 
 
 # Reference outputs for seed 0, from the published splitmix64 test vectors.
@@ -158,3 +170,51 @@ def test_erdos_renyi_always_simple(n, p, seed):
     assert isinstance(g, Graph)
     assert g.n == n
     assert 0 <= g.m <= n * (n - 1) // 2
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=120),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+@example(92, 0.5, -4)
+@example(60, 0.5, -(2**64) + 5)
+@example(120, 1.0, 2**64 + 5)
+def test_erdos_renyi_matches_one_draw_per_pair(n, p, seed):
+    # C(n, 2) passes the kernel's block of _LANES pairs at n = 92.
+    assert generate(FamilySpec(family="erdos_renyi", n=n, p=p, seed=seed)) == ref_erdos_renyi(
+        n, p, seed
+    )
+
+
+@pytest.mark.parametrize("count", [1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1])
+@pytest.mark.parametrize("seed", [0, -4, -(2**64) + 5, 2**64 + 5])
+def test_pair_flags_match_splitmix64(count, seed):
+    draws = list(itertools.islice(splitmix64(seed), count))
+    # The threshold edges, and a draw's own value and one past it, where the
+    # strict comparison decides.
+    for threshold in (0, 1, 2**63, 2**64 - 1, 2**64, draws[-1], draws[-1] + 1):
+        blocks = list(_pair_flags(seed, threshold, count))
+        assert all(len(block) <= _LANES for block in blocks)
+        assert b"".join(blocks) == bytes(draw < threshold for draw in draws)
+
+
+def test_pair_flags_of_no_pairs():
+    assert list(_pair_flags(1, 2**63, 0)) == []
+
+
+# sha256 of write_dimacs(generate(...)) for the two dense_audit inputs of
+# seed 0 and one larger graph, recorded from the one-draw-per-pair generator.
+PINNED_ER_DIGESTS = {
+    (400, 0.25, 0): "ac05ae86a3a247bb419db85b4db725c6ac454e9a9a221ebc0c76808a4626d499",
+    (400, 0.25, 1): "f4b16a07efae608e8532464986dd31cd8e272c54a8b3178480c440dd85abd88f",
+    (2000, 0.005, 1): "b9fc252e0df4036a137b23cf23d87533fba7f46bd0000c5ee182c8824e2fd641",
+}
+
+
+@pytest.mark.parametrize("n, p, seed", list(PINNED_ER_DIGESTS))
+def test_erdos_renyi_pinned_digests(n, p, seed):
+    g = generate(FamilySpec(family="erdos_renyi", n=n, p=p, seed=seed))
+    digest = hashlib.sha256(write_dimacs(g).encode()).hexdigest()
+    assert digest == PINNED_ER_DIGESTS[(n, p, seed)]

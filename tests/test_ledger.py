@@ -649,3 +649,15 @@ def test_residual_sequences_dom(g):
         assert r[0] == g.degree(w) + 1
         assert r[-1] == 0
         assert all(a >= b for a, b in zip(r, r[1:]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 60).flatmap(lambda r0: st.tuples(st.just(r0), st.lists(st.integers(0, r0)))))
+def test_residual_third_fact_telescopes(case):
+    # check_residual_decomposition's third fact holds for every non-increasing
+    # sequence ending in 0, so the first two facts decide its verdict.
+    r0, middle = case
+    r = [r0, *sorted(middle, reverse=True), 0]
+    unit = math.lcm(*range(1, r0 + 1))
+    per_residual = sum((a - b) * (unit // a) for a, b in zip(r, r[1:]) if a > b)
+    assert per_residual <= unit * harmonic(r0)
