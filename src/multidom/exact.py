@@ -25,7 +25,6 @@ __all__ = [
     "ExactResult",
     "exact_minimum_naive",
     "exact_minimum",
-    "verify_monotonicity",
 ]
 
 import itertools
@@ -115,26 +114,6 @@ def exact_minimum(g: Graph, mode: Mode, k: int = 1, *, max_n: int = DEFAULT_MAX_
                 time_s=time.perf_counter() - start,
             )
     raise AssertionError("unreachable: the full vertex set always satisfies the validator")
-
-
-def verify_monotonicity(g: Graph, k_max: int, *, max_n: int = DEFAULT_MAX_N) -> bool:
-    """Check the ordering facts among the exact optima up to k_max.
-
-    gamma_k is non-decreasing in k; gamma_xk (the k-tuple optimum, defined
-    for k <= min_degree + 1) is non-decreasing in k; and for each k where
-    both exist, gamma_k <= gamma_xk, since a k-tuple dominating set is in
-    particular k-dominating.
-    """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    kdom = [exact_minimum(g, Mode.KDOM, k, max_n=max_n).optimum for k in range(1, k_max + 1)]
-    tuple_cap = min(k_max, g.min_degree() + 1)
-    ktuple = [exact_minimum(g, Mode.KTUPLE, k, max_n=max_n).optimum for k in range(1, tuple_cap + 1)]
-    if any(a > b for a, b in zip(kdom, kdom[1:])):
-        return False
-    if any(a > b for a, b in zip(ktuple, ktuple[1:])):
-        return False
-    return all(kdom[i] <= ktuple[i] for i in range(len(ktuple)))
 
 
 def check_max_n(max_n: int) -> None:

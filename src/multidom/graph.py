@@ -1,8 +1,7 @@
 """Immutable undirected graphs on vertex ids 0..n-1.
 
 Vertices are plain ints.  A graph's only neighbourhood state is adjacency, one
-ascending tuple of neighbour ids per vertex; neighbors() and
-closed_neighborhood() build their frozensets from it when called.
+ascending tuple of neighbour ids per vertex.
 
 Every Graph(n, edges) is built by one bulk pass, _adjacency.  It appends each
 edge to both rows with no per-edge check, keeps a row that is already strictly
@@ -23,7 +22,7 @@ __all__ = ["MAX_VERTICES", "GraphError", "Graph"]
 import hashlib
 from bisect import bisect_left, bisect_right
 from operator import lt
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # The most vertices a Graph may have.  Graph() checks it before any
 # per-vertex allocation, so a header such as "p edge 1000000000 0" fails at
@@ -67,13 +66,6 @@ class Graph:
 
     # -- basic queries ------------------------------------------------------
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Distinct edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return len(self.adjacency[v])
@@ -84,22 +76,12 @@ class Graph:
     def min_degree(self) -> int:
         return min(len(a) for a in self.adjacency)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Open neighborhood: the set of vertices adjacent to v."""
-        self._check_vertex(v)
-        return frozenset(self.adjacency[v])
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        """Closed neighborhood: v together with its neighbors."""
-        self._check_vertex(v)
-        return frozenset((v, *self.adjacency[v]))
-
     # -- identity ------------------------------------------------------------
 
     def fingerprint(self) -> tuple[int, int, str]:
         """(n, m, digest) identifying the graph up to exact adjacency equality."""
         if self._fingerprint is None:
-            # One payload: the header, then "u,v;" for each edge in edges() order.
+            # One payload: the header, then "u,v;" for each edge in edge_text order.
             payload = f"n={self.n};m={self.m};" + self.edge_text(0, "", ",", ";")
             digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
             # Lazy cache; the only mutation after __init__.
@@ -107,10 +89,10 @@ class Graph:
         return self._fingerprint
 
     def edge_text(self, base: int, before: str, between: str, after: str) -> str:
-        """before + u + between + v + after for each edge (u, v) in edges()
-        order, with ids written in decimal from base: 0 gives the ids, 1 the
-        1-based ids.  It joins one adjacency row at a time from precomputed
-        names instead of formatting each edge."""
+        """before + u + between + v + after for each edge (u, v), u < v, in
+        lexicographic order, with ids written in decimal from base: 0 gives
+        the ids, 1 the 1-based ids.  It joins one adjacency row at a time from
+        precomputed names instead of formatting each edge."""
         names = list(map(str, range(base, self.n + base)))
         parts = []
         for u, row in enumerate(self.adjacency):

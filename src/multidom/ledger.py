@@ -2,8 +2,8 @@
 
 All three greedy bounds rest on one charging argument.  Every vertex needs k
 arrivals, and the step that chooses a vertex causes as many arrivals as its
-score (solvers.step_arrivals is the rule).  The unit spent on iteration i is
-split evenly among its score(i) arrivals, so each arrival costs 1/score(i).
+score.  The unit spent on iteration i is split evenly among its score(i)
+arrivals, so each arrival costs 1/score(i).
 This module replays a solution trace with the solver's own step
 (solvers.apply_step), rejects a trace whose recorded step differs from the
 replayed one, and checks the three facts the analysis needs exactly:
@@ -133,7 +133,7 @@ class CostLedger:
 
     The one charge rule: v's own coverage costs a share per arrival, and w
     in N[v] is charged for it a share of iteration min(joined[w],
-    covered_at(v)), the arrival w gave v or else the one that completed v.
+    arrivals[v][-1]), the arrival w gave v or else the one that completed v.
     """
 
     mode: Mode
@@ -162,15 +162,9 @@ class CostLedger:
         object.__setattr__(self, "shares", tuple(map(by_score.__getitem__, self.scores)))
         object.__setattr__(self, "harmonics", hs)
 
-    def covered_at(self, v: int) -> int:
-        """Iteration at which v's requirement became fully satisfied.
-
-        Raises GraphError when v is outside 0..n-1."""
-        self.graph._check_vertex(v)
-        return self._covered_at(v)
-
     def _covered_at(self, v: int) -> int:
-        """covered_at without the range check, for callers that checked v."""
+        """Iteration at which v's requirement became fully satisfied; v is
+        not range-checked, so callers check it first."""
         return self.arrivals[v][-1]
 
     def residual_sequence(self, w: int) -> tuple[int, ...]:
@@ -284,8 +278,8 @@ def check_subset_cost_bound(ledger: CostLedger, v: int, subset: Iterable[int]) -
     members of v's closed neighborhood can only cost more.
     """
     w_set = frozenset(subset)
-    closed = ledger.graph.closed_neighborhood(v)
-    if not w_set <= closed:
+    ledger.graph._check_vertex(v)
+    if not w_set <= {v, *ledger.graph.adjacency[v]}:
         raise ValueError(f"subset {sorted(w_set)} is not within the closed neighborhood of {v}")
     if len(w_set) < ledger.k:
         raise ValueError(f"subset must have at least k={ledger.k} members, got {len(w_set)}")
@@ -303,7 +297,7 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[int, int]:
     that is for its last self_gain(mode, k, 0) arrivals.  For k-domination
     those are all k of w's arrivals, each at or before joined[w], so the
     self-charge is all of w's own coverage charge; otherwise it is the one
-    charge for covered_at(w).  The bound is H(deg(w) + self_gain(mode, k, 0)),
+    charge for arrivals[w][-1].  The bound is H(deg(w) + self_gain(mode, k, 0)),
     that is H(deg(w) + 1), or H(deg(w) + k) for k-domination, read from
     ledger.harmonics.
     """
@@ -314,7 +308,7 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[int, int]:
     gain = self_gain(ledger.mode, ledger.k, 0)
     lhs = sum(shares[min(join_w, arrivals[v][-1]) - 1] for v in g.adjacency[w])
     lhs += sum(shares[min(join_w, it) - 1] for it in arrivals[w][-gain:])
-    return lhs, ledger.harmonics[g.degree(w) + gain]
+    return lhs, ledger.harmonics[len(g.adjacency[w]) + gain]
 
 
 def check_residual_decomposition(ledger: CostLedger, w: int, lhs: int) -> bool:

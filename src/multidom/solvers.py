@@ -14,10 +14,10 @@ The greedy chooses the unchosen vertex whose choice causes the most arrivals
 that still count, breaking ties toward the smallest vertex id.  So
 score(v) = #uncovered neighbors of v + (the self-gain if v is uncovered).
 Each decision is stated once, here, and used elsewhere instead of a test of
-the mode: self_gain() and step_arrivals() state the rule; apply_step()
-makes one step and its IterationRecord, which solve() runs for every pick
-and the ledger audit replays over a trace; satisfies() checks a set by the
-same arrivals, for is_valid_solution() and the naive exact oracle.
+the mode: self_gain() states the self-gain; apply_step() makes one step by
+the rule, with its IterationRecord, which solve() runs for every pick and
+the ledger audit replays over a trace; satisfies() checks a set by the same
+arrivals, for is_valid_solution() and the naive exact oracle.
 
 k-tuple domination needs k <= min_degree + 1 (some closed neighborhood is
 otherwise too small); k-domination accepts every k >= 1 and is trivial, with
@@ -59,7 +59,6 @@ __all__ = [
     "IterationRecord",
     "Solution",
     "self_gain",
-    "step_arrivals",
     "solve",
     "apply_step",
     "satisfies",
@@ -191,18 +190,6 @@ def self_gain(mode: Mode, k: int, count: int) -> int:
     return k - count if mode is Mode.KDOM else 1
 
 
-def step_arrivals(g: Graph, mode: Mode, k: int, count: list[int], v: int) -> dict[int, int]:
-    """{vertex: arrivals} that choosing v causes when vertex u already has
-    count[u] arrivals.  Only vertices short of k arrivals receive any."""
-    tokens: dict[int, int] = {}
-    if count[v] < k:
-        tokens[v] = self_gain(mode, k, count[v])
-    for u in g.adjacency[v]:
-        if count[u] < k:
-            tokens[u] = 1
-    return tokens
-
-
 def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     """Greedy run for mode: while some vertex has fewer than k arrivals,
     choose the unchosen vertex whose choice causes the most arrivals that
@@ -265,9 +252,15 @@ def apply_step(
     g: Graph, mode: Mode, k: int, count: list[int], v: int, index: int, covered: int
 ) -> tuple[dict[int, int], IterationRecord]:
     """Choose v as step index of a run in which covered vertices are
-    covered so far: add its arrivals (step_arrivals) to count and return
-    them with the step's record.  The score is the number of arrivals."""
-    tokens = step_arrivals(g, mode, k, count, v)
+    covered so far: add its arrivals to count and return them, as {vertex:
+    arrivals}, with the step's record.  Only vertices short of k arrivals
+    receive any.  The score is the number of arrivals."""
+    tokens: dict[int, int] = {}
+    if count[v] < k:
+        tokens[v] = self_gain(mode, k, count[v])
+    for u in g.adjacency[v]:
+        if count[u] < k:
+            tokens[u] = 1
     newly: list[int] = []
     for u, arrivals in tokens.items():
         count[u] += arrivals

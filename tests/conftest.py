@@ -5,12 +5,14 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from multidom import (
+    DEFAULT_MAX_N,
     Graph,
     GraphError,
     IterationRecord,
     Mode,
     Solution,
     apply_step,
+    exact_minimum,
     self_gain,
     splitmix64,
 )
@@ -27,6 +29,53 @@ def graphs(draw, min_n: int = 1, max_n: int = 10):
     else:
         edges = []
     return Graph(n, edges)
+
+
+# Views of a Graph or CostLedger read from its rows, which the library reads
+# directly; those that take a vertex range-check it.
+def edges(g):
+    """Distinct edges as (u, v) with u < v, in lexicographic order."""
+    return [(u, v) for u, row in enumerate(g.adjacency) for v in row if u < v]
+
+
+def neighbors(g, v):
+    """Open neighborhood: the set of vertices adjacent to v."""
+    g._check_vertex(v)
+    return frozenset(g.adjacency[v])
+
+
+def closed_neighborhood(g, v):
+    """Closed neighborhood: v together with its neighbors."""
+    g._check_vertex(v)
+    return frozenset((v, *g.adjacency[v]))
+
+
+def covered_at(led, v):
+    """Iteration at which v's requirement became fully satisfied.
+
+    Raises GraphError when v is outside 0..n-1."""
+    led.graph._check_vertex(v)
+    return led.arrivals[v][-1]
+
+
+def verify_monotonicity(g, k_max, *, max_n=DEFAULT_MAX_N):
+    """Check the ordering facts among the exact optima up to k_max.
+
+    gamma_k is non-decreasing in k; gamma_xk (the k-tuple optimum, defined
+    for k <= min_degree + 1) is non-decreasing in k; and for each k where
+    both exist, gamma_k <= gamma_xk, since a k-tuple dominating set is in
+    particular k-dominating.
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    kdom = [exact_minimum(g, Mode.KDOM, k, max_n=max_n).optimum for k in range(1, k_max + 1)]
+    tuple_cap = min(k_max, g.min_degree() + 1)
+    ktuple = [exact_minimum(g, Mode.KTUPLE, k, max_n=max_n).optimum for k in range(1, tuple_cap + 1)]
+    if any(a > b for a, b in zip(kdom, kdom[1:])):
+        return False
+    if any(a > b for a, b in zip(ktuple, ktuple[1:])):
+        return False
+    return all(kdom[i] <= ktuple[i] for i in range(len(ktuple)))
 
 
 @st.composite
@@ -156,11 +205,11 @@ def ref_erdos_renyi(n, p, seed):
 # The graph writers with one f-string per edge, as first written.
 def ref_write_dimacs(g):
     lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in edges(g))
     return "\n".join(lines) + "\n"
 
 
 def ref_write_edge_list(g):
     lines = [f"# n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.extend(f"{u} {v}" for u, v in edges(g))
     return "\n".join(lines) + "\n"

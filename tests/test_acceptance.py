@@ -32,9 +32,9 @@ from multidom import (
     parse_graph,
     run_corpus,
     solve,
-    verify_monotonicity,
     write_graph,
 )
+from conftest import closed_neighborhood, verify_monotonicity
 
 CORPUS_TIME_BUDGET_S = 300.0
 
@@ -170,7 +170,7 @@ def test_c04_subset_cost_bound(report):
         sol = solve(g, mode, k)
         ledger = build_ledger(g, sol)
         for v in range(g.n):
-            closed = sorted(g.closed_neighborhood(v))
+            closed = sorted(closed_neighborhood(g, v))
             if len(closed) <= 12:
                 for size in range(k, len(closed) + 1):
                     for subset in itertools.combinations(closed, size):

@@ -113,8 +113,10 @@ def test_verify(c6_path, capsys):
         assert f'\n  "mode": "{mode.value}",\n' in out
         doc = json.loads(out)
         assert list(doc) == [
-            "instance", "mode", "k", "greedy_size", "exact_size", "ratio", "bound",
-            "bound_satisfied", "ledger_checks_passed", "trivial", "skip_reason", "ledger",
+            "instance", "family", "seed", "n", "m", "max_degree", "min_degree", "mode", "k",
+            "greedy_size", "exact_size", "ratio", "bound", "bound_satisfied",
+            "ledger_checks_passed", "trivial", "skip_reason", "nodes_explored",
+            "greedy_iterations", "ledger",
         ]
         assert doc["ledger_checks_passed"] is True
         assert doc["bound_satisfied"] is True
@@ -266,11 +268,12 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
         ([{"spec": {"family": "path", "n": 4}, "mode": "dom"},
           {"spec": {"family": "cycle", "n": 2}, "mode": "dom"}],
          "corpus entry 1: cycle needs n >= 3, got 2"),
+        ([], "error: corpus is empty"),
     ],
     ids=[
         "missing_spec", "unknown_spec_field", "not_a_list", "n_string", "n_list", "n_float",
         "n_bool", "a_float", "b_string", "seed_string", "p_string", "p_bool", "seed_missing",
-        "spec_k_float", "k_float", "k_bool", "generator_rejects_spec",
+        "spec_k_float", "k_float", "k_bool", "generator_rejects_spec", "empty",
     ],
 )
 def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):

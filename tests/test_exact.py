@@ -17,12 +17,11 @@ from multidom import (
     exact_minimum_naive,
     generate,
     self_gain,
-    verify_monotonicity,
 )
 from multidom import exact
 # Witnesses are checked against the frozenset reference, not satisfies: the
 # naive oracle itself calls satisfies.
-from conftest import graphs, ref_satisfies
+from conftest import closed_neighborhood, graphs, ref_satisfies, verify_monotonicity
 
 
 def cycle(n):
@@ -146,7 +145,7 @@ class _ListSearch:
         self.self_gain = self_gain(mode, k, 0)
         self.pick_gain = g.max_degree() + self.self_gain
         # providers[v]: the vertices whose choice gives v arrivals, sorted.
-        self.providers = tuple(tuple(sorted(g.closed_neighborhood(v))) for v in range(g.n))
+        self.providers = tuple(tuple(sorted(closed_neighborhood(g, v))) for v in range(g.n))
 
     def feasible(self, target: int) -> list[int] | None:
         """A satisfying set of size <= target, or None."""

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +338,15 @@ def test_run_corpus_shares_runs_the_same_in_workers(entries):
 def test_run_corpus_rejects_empty():
     with pytest.raises(ValueError):
         run_corpus([])
+
+
+def test_run_corpus_names_an_empty_corpus():
+    with pytest.raises(ValueError, match="^corpus is empty$"):
+        run_corpus([])
+    # Without entries, run_corpus reads the default corpus, and checks it too.
+    with mock.patch.object(harness, "default_corpus", return_value=[]):
+        with pytest.raises(ValueError, match="^corpus is empty$"):
+            run_corpus()
 
 
 def test_run_entry_uses_spec_id():

@@ -30,7 +30,7 @@ from multidom import (
     write_report_json,
 )
 from multidom import graphio
-from conftest import graphs, ref_write_dimacs, ref_write_edge_list
+from conftest import edges, graphs, ref_write_dimacs, ref_write_edge_list
 
 
 P4_DIMACS = "c a path\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
@@ -39,7 +39,7 @@ P4_DIMACS = "c a path\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
 def test_parse_dimacs_basic():
     g = parse_dimacs(P4_DIMACS)
     assert (g.n, g.m) == (4, 3)
-    assert tuple(g.edges()) == ((0, 1), (1, 2), (2, 3))
+    assert tuple(edges(g)) == ((0, 1), (1, 2), (2, 3))
 
 
 def test_dimacs_round_trip():

@@ -17,6 +17,8 @@ from multidom import (
     GraphError,
     KOutOfRangeError,
     Mode,
+    Solution,
+    apply_step,
     audit,
     build_ledger,
     check_harmonic_inequalities,
@@ -29,9 +31,10 @@ from multidom import (
     generate,
     self_gain,
     solve,
+    verify_greedy_optimality,
 )
 from multidom.ledger import lcm_upto
-from conftest import graphs, harmonic
+from conftest import closed_neighborhood, covered_at, graphs, harmonic
 
 
 def star(leaves):
@@ -129,7 +132,7 @@ def test_arrival_bookkeeping():
     # Center: covered once vertex 1 joins (its 2nd closed-neighborhood pick).
     assert led.arrivals[0] == (1, 2)
     assert tuple(sol.chosen[it - 1] for it in led.arrivals[0]) == (0, 1)
-    assert led.covered_at(0) == 2
+    assert covered_at(led, 0) == 2
     # Leaf 6 waits for its own selection.
     assert led.arrivals[6] == (1, 7)
     assert tuple(sol.chosen[it - 1] for it in led.arrivals[6]) == (0, 6)
@@ -291,7 +294,7 @@ def _scanned_cost(sol, led, v, w):
     for it in led.arrivals[v]:
         if sol.chosen[it - 1] == w:
             return Fraction(1, led.scores[it - 1])
-    return Fraction(1, led.scores[led.covered_at(v) - 1])
+    return Fraction(1, led.scores[covered_at(led, v) - 1])
 
 
 @settings(deadline=None, max_examples=60)
@@ -301,7 +304,7 @@ def test_cost_matches_arrival_scan(g):
         sol = solve(g, mode, k)
         led = build_ledger(g, sol)
         for v in range(g.n):
-            for w in g.closed_neighborhood(v):
+            for w in closed_neighborhood(g, v):
                 assert _ref_cost(led, v, w) == _scanned_cost(sol, led, v, w)
 
 
@@ -323,7 +326,7 @@ def test_cost_domain_checked():
         with pytest.raises(GraphError):
             _ref_own_cost_sum(led, v)
         with pytest.raises(GraphError):
-            led.covered_at(v)
+            covered_at(led, v)
     with pytest.raises(ValueError):
         _ref_cost(led, 3, -1)  # w = -1 is no neighbour of 3, whatever it would index
 
@@ -392,7 +395,7 @@ def _ref_cost(led, v, w):
     i = bisect_left(row, w)
     if w != v and (i == len(row) or row[i] != w):
         raise ValueError(f"vertex {w} is not in the closed neighborhood of {v}")
-    return Fraction(1, led.scores[min(led.joined[w], led.covered_at(v)) - 1])
+    return Fraction(1, led.scores[min(led.joined[w], covered_at(led, v)) - 1])
 
 
 def _ref_own_cost_sum(led, v):
@@ -527,6 +530,24 @@ def test_forged_ledgers_rejected_by_both_paths(g):
                 dataclasses.replace(led, scores=(bad,) + led.scores[1:])
 
 
+def test_non_greedy_trace_fails_the_score_step():
+    # On the path 0-1-2 the greedy takes 1 (score 3); the trace that takes 0
+    # and then 2 replays step by step, but its first score, 2, is below w = 1's
+    # residual r_0 = 3, which is what the decomposition rejects.
+    g = path(3)
+    count = [0] * g.n
+    _, first = apply_step(g, Mode.DOM, 1, count, 0, 1, 0)
+    _, second = apply_step(g, Mode.DOM, 1, count, 2, 2, first.covered_after)
+    sol = Solution(Mode.DOM, 1, (0, 2), (first, second), g.fingerprint())
+    led = build_ledger(g, sol)
+    assert led.scores == (2, 1)
+    assert led.residual_sequence(1) == (3, 1, 0)
+    lhs, _ = check_neighborhood_bound(led, 1)
+    assert check_residual_decomposition(led, 1, lhs) is False
+    assert audit(led)[0] is False
+    assert verify_greedy_optimality(g, sol) is False
+
+
 # -- property checks over random runs ------------------------------------------
 
 
@@ -561,7 +582,7 @@ def test_subset_bounds_exhaustive_small(g):
     for mode, k in _solvable_modes(g, k_candidates=(1, 2)):
         led = build_ledger(g, solve(g, mode, k))
         for v in range(g.n):
-            closed = sorted(g.closed_neighborhood(v))
+            closed = sorted(closed_neighborhood(g, v))
             for size in range(k, len(closed) + 1):
                 for subset in itertools.combinations(closed, size):
                     assert check_subset_cost_bound(led, v, subset)
@@ -578,7 +599,7 @@ def _subset_verdicts(led):
     """(shares verdict, Fraction verdict) of the subset bound for every
     subset of every N[v] with at least k members."""
     for v in range(led.graph.n):
-        closed = sorted(led.graph.closed_neighborhood(v))
+        closed = sorted(closed_neighborhood(led.graph, v))
         own = _ref_own_cost_sum(led, v)
         costs = {w: _ref_cost(led, v, w) for w in closed}
         for size in range(led.k, len(closed) + 1):
