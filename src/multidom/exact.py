@@ -6,12 +6,13 @@ Two independent implementations so they can cross-check each other:
   the reference semantics (only viable for very small graphs);
 * exact_minimum is a branch-and-bound search: for each target size, branch
   on the most-constrained unsatisfied vertex, including or excluding one of
-  its remaining potential coverers, with sound feasibility and counting
-  pruning.  Its vertex sets are Python-int bitsets: each vertex's providers,
-  the vertices still undecided on the current branch, and the unsatisfied
-  vertices, which are kept in step with the arrival counts as vertices are
-  chosen and unchosen, so a node costs one mask AND and one bit_count per
-  unsatisfied vertex.
+  its remaining potential coverers, with sound feasibility, counting and
+  packing pruning, a closed form for the last pick, and no exclude branch
+  that cannot satisfy its branch vertex.  Its vertex sets are Python-int
+  bitsets: each vertex's providers, the vertices still undecided on the
+  current branch, and the unsatisfied vertices, which are kept in step with
+  the arrival counts as vertices are chosen and unchosen, so a node costs a
+  few mask operations and one bit_count per unsatisfied vertex.
 
 Both are deterministic: given the same input they visit candidates in the
 same order and return the same witness, and nodes_explored is reproducible.
@@ -85,9 +86,12 @@ def exact_minimum(g: Graph, mode: Mode, k: int = 1, *, max_n: int = DEFAULT_MAX_
     self-gain to itself.  So the target loop starts at
     ceil(n * k / (max_degree + self_gain)), and the search prunes a branch
     whose open deficit, the sum of k - count over the unsatisfied vertices,
-    exceeds its remaining budget times max_degree + self_gain.  Both cuts
-    drop only target sizes and branches that hold no solution, so the
-    optimum and the witness are those of the search without them.
+    exceeds its remaining budget times max_degree + self_gain.  Three more
+    cuts are described in _Search._dfs: a packing bound, a closed form for
+    the last pick, and skipping an exclude branch that cannot satisfy its
+    branch vertex.  Every cut drops only target sizes and branches that hold
+    no solution, or returns the solution the search would find first, so
+    the optimum and the witness are those of the search without them.
     """
     _check_instance(g, mode, k, max_n)
     start = time.perf_counter()
@@ -161,32 +165,54 @@ class _Search:
         """A satisfying set of size <= target, or None."""
         everyone = (1 << self.g.n) - 1
         self.chosen: list[int] = []
-        # undecided: the vertices neither chosen nor excluded on the current
-        # branch.  unsat: the vertices with count < k, kept in step with
-        # count by _choose and restored by _unchoose.
-        self.undecided = everyone
-        self.unsat = everyone
         self.count = [0] * self.g.n
-        return self._dfs(target)
+        return self._dfs(target, everyone, everyone)
 
-    def _dfs(self, budget: int) -> list[int] | None:
+    def _dfs(self, budget: int, undecided: int, unsat: int) -> list[int] | None:
+        """chosen plus at most budget more picks that satisfy everyone, or None.
+
+        undecided: the vertices neither chosen nor excluded on this branch.
+        unsat: the vertices with count < k.  A budget of 0 needs no case of
+        its own: the packing prune below cuts it.
+        """
         self.nodes += 1
-        unsat = self.unsat
         if not unsat:
             return list(self.chosen)
-        if budget == 0:
-            return None
         k = self.k
         count = self.count
         providers = self.providers
-        undecided = self.undecided
         kdom = self.kdom
-        # Feasibility prune, and pick the most-constrained vertex: the first,
-        # in id order, with the fewest remaining ways to be satisfied.
-        fewest = self.g.n + 1
-        branch_avail = 0
-        open_deficit = 0
         rest = unsat
+        if budget == 1:
+            # One pick left: it must settle each unsatisfied v alone, so it
+            # is a provider of v when v lacks one arrival, or v itself under
+            # k-domination.  The search would try its branch vertex's
+            # undecided providers in id order and reach the lowest such pick
+            # first, so that pick is its answer too.
+            settle = undecided
+            while rest and settle:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                if count[v] == k - 1:
+                    settle &= providers[v]
+                elif kdom:
+                    settle &= bit
+                else:
+                    return None
+            if not settle:
+                return None
+            return [*self.chosen, (settle & -settle).bit_length() - 1]
+        # Feasibility and packing prunes, and pick the most-constrained
+        # vertex: the first, in id order, with the fewest remaining ways to be
+        # satisfied.
+        fewest = self.g.n + 1
+        open_deficit = 0
+        # packed: the summed need of the unsatisfied vertices, in id order,
+        # whose avail is disjoint from taken, the union of the earlier ones'.
+        # No pick serves two of them, so more than budget is infeasible.
+        packed = 0
+        taken = 0
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -197,11 +223,19 @@ class _Search:
             open_deficit += deficit
             # An undecided v under k-domination can settle itself with one
             # pick; every other v needs deficit more picks among avail.
-            settles_itself = kdom and undecided & bit
-            if not settles_itself and (n_avail < deficit or deficit > budget):
+            if kdom and undecided & bit:
+                need = 1
+            elif n_avail < deficit or deficit > budget:
                 return None
+            else:
+                need = deficit
+            if not avail & taken:
+                packed += need
+                if packed > budget:
+                    return None
+                taken |= avail
             if n_avail < fewest:
-                fewest, branch_avail = n_avail, avail
+                fewest, branch_bit, branch_avail, branch_deficit = n_avail, bit, avail, deficit
         # Counting prune: budget more picks close at most budget * pick_gain
         # of the open deficit.
         if open_deficit > budget * self.pick_gain:
@@ -209,40 +243,30 @@ class _Search:
         # Branch on the lowest id among the branch vertex's undecided
         # providers; avail is never empty, since an empty avail is pruned
         # above and an undecided v is its own provider.
-        bit = branch_avail & -branch_avail
-        u = bit.bit_length() - 1
+        ubit = branch_avail & -branch_avail
+        u = ubit.bit_length() - 1
+        # Excluding u leaves the branch vertex fewest - 1 providers, so that
+        # child is dead when it needs them all, unless, under k-domination,
+        # it is undecided and is not u: then it can still settle itself.
+        dead_exclude = branch_deficit >= fewest and not (
+            kdom and undecided & branch_bit and ubit != branch_bit
+        )
         # Include u.
-        self._choose(u)
-        found = self._dfs(budget - 1)
-        self._unchoose(u, unsat)
-        if found is not None:
+        chosen = self.chosen
+        row = self.g.adjacency[u]
+        chosen.append(u)
+        count[u] += self.self_gain
+        left = unsat & ~ubit if count[u] >= k else unsat
+        for w in row:
+            count[w] += 1
+            if count[w] == k:
+                left ^= 1 << w
+        found = self._dfs(budget - 1, undecided ^ ubit, left)
+        chosen.pop()
+        count[u] -= self.self_gain
+        for w in row:
+            count[w] -= 1
+        if found is not None or dead_exclude:
             return found
         # Exclude u.
-        self.undecided ^= bit
-        found = self._dfs(budget)
-        self.undecided |= bit
-        return found
-
-    def _choose(self, u: int) -> None:
-        k = self.k
-        count = self.count
-        unsat = self.unsat
-        self.chosen.append(u)
-        self.undecided ^= 1 << u
-        count[u] += self.self_gain
-        if count[u] >= k:
-            unsat &= ~(1 << u)
-        for w in self.g.adjacency[u]:
-            count[w] += 1
-            if count[w] >= k:
-                unsat &= ~(1 << w)
-        self.unsat = unsat
-
-    def _unchoose(self, u: int, unsat: int) -> None:
-        """Undo _choose(u); unsat is the mask saved before it."""
-        self.chosen.pop()
-        self.undecided |= 1 << u
-        self.unsat = unsat
-        self.count[u] -= self.self_gain
-        for w in self.g.adjacency[u]:
-            self.count[w] -= 1
+        return self._dfs(budget, undecided ^ ubit, unsat)

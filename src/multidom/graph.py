@@ -66,10 +66,6 @@ class Graph:
 
     # -- basic queries ------------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adjacency[v])
-
     def max_degree(self) -> int:
         return max(len(a) for a in self.adjacency)
 

@@ -220,7 +220,7 @@ def run_entry(
 
 
 def run_corpus(
-    entries: list[CorpusEntry] | None = None,
+    entries: list[CorpusEntry],
     *,
     jobs: int = 1,
     max_n: int = DEFAULT_MAX_N,
@@ -240,8 +240,6 @@ def run_corpus(
     check_max_n(max_n)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if entries is None:
-        entries = default_corpus()
     if not entries:
         raise ValueError("corpus is empty")
     by_spec: dict[FamilySpec, tuple[int, list[CorpusEntry]]] = {}

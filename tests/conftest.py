@@ -44,6 +44,12 @@ def neighbors(g, v):
     return frozenset(g.adjacency[v])
 
 
+def degree(g, v):
+    """The number of neighbors of v."""
+    g._check_vertex(v)
+    return len(g.adjacency[v])
+
+
 def closed_neighborhood(g, v):
     """Closed neighborhood: v together with its neighbors."""
     g._check_vertex(v)

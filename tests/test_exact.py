@@ -99,10 +99,10 @@ def test_nodes_explored_reproducible():
 
 
 # One sha256 over the optimum, the witness and nodes_explored of every
-# solvable default-corpus run (43088 nodes in total), recorded when the
-# counting bound and prune went in; the search tree before them had 72651
-# nodes.
-PINNED_EXACT = (681, "ebb5feae86225ca56a2d17af6678f3b5c2831d5d9034f7b6bf7de8097ab5adb3")
+# solvable default-corpus run (20097 nodes in total), recorded when the
+# one-pick, dead-exclude and packing cuts went in; the search tree had 43088
+# nodes with the counting bound and prune alone, and 72651 before them.
+PINNED_EXACT = (681, "11b78b34fd9d5af7765ef248bc98b6b210c36b8ad461c462172d98bda2d85dc6")
 # The same runs' optimum and witness alone, recorded from the search before
 # the counting bound and prune: the cuts may only shrink the search tree.
 PINNED_EXACT_WITNESSES = (681, "73415faa4913f6b09c3b19b1026db5d68673c010f6cc2375e8921e868767b842")
@@ -130,10 +130,16 @@ class _ListSearch:
     for node.
 
     State is shared across target sizes; nodes accumulates over the whole
-    exact_minimum call.  counting_prune turns the open-deficit prune on.
+    exact_minimum call.  Each flag turns one cut on: counting_prune the
+    open-deficit prune, one_pick the closed-form last pick, dead_exclude the
+    skipped exclude child that cannot satisfy its branch vertex, and
+    packing_prune the bound by vertices with disjoint provider sets.
     """
 
     counting_prune = True
+    one_pick = True
+    dead_exclude = True
+    packing_prune = True
 
     def __init__(self, g: Graph, mode: Mode, k: int):
         self.g = g
@@ -155,6 +161,12 @@ class _ListSearch:
         self.count = [0] * self.g.n
         return self._dfs(target)
 
+    def _gain(self, u: int, v: int) -> int:
+        """Arrivals that choosing u gives v."""
+        if u == v:
+            return self.self_gain
+        return 1 if u in self.providers[v] else 0
+
     def _dfs(self, budget: int) -> list[int] | None:
         self.nodes += 1
         g = self.g
@@ -164,10 +176,20 @@ class _ListSearch:
             return list(self.chosen)
         if budget == 0:
             return None
+        if self.one_pick and budget == 1:
+            # The lowest undecided u whose choice alone satisfies every v.
+            for u in range(g.n):
+                if not self.decided[u] and all(
+                    self.count[v] + self._gain(u, v) >= k for v in unsat
+                ):
+                    return [*self.chosen, u]
+            return None
         # Feasibility prune, and pick the most-constrained vertex: the one
         # with the fewest remaining ways to be satisfied.
         branch_v = -1
         branch_avail: list[int] = []
+        packed = 0
+        taken: set[int] = set()
         for v in unsat:
             avail = [u for u in self.providers[v] if not self.decided[u]]
             deficit = k - self.count[v]
@@ -176,8 +198,13 @@ class _ListSearch:
             settles_itself = self.kdom and not self.decided[v]
             if not settles_itself and (len(avail) < deficit or deficit > budget):
                 return None
+            if taken.isdisjoint(avail):
+                taken.update(avail)
+                packed += 1 if settles_itself else deficit
             if branch_v < 0 or len(avail) < len(branch_avail):
                 branch_v, branch_avail = v, avail
+        if self.packing_prune and packed > budget:
+            return None
         open_deficit = sum(k - self.count[v] for v in unsat)
         if self.counting_prune and open_deficit > budget * self.pick_gain:
             return None
@@ -188,6 +215,12 @@ class _ListSearch:
         self._unchoose(u)
         if found is not None:
             return found
+        if self.dead_exclude:
+            # With u excluded, branch_v keeps the rest of its providers, and
+            # settles itself only if it is still undecided under k-domination.
+            settles_itself = self.kdom and branch_v != u and not self.decided[branch_v]
+            if not settles_itself and len(branch_avail) - 1 < k - self.count[branch_v]:
+                return None
         # Exclude u.
         self.decided[u] = True
         found = self._dfs(budget)
@@ -210,9 +243,20 @@ class _ListSearch:
 
 
 class _UnprunedListSearch(_ListSearch):
-    """The search as it was before the counting prune."""
+    """The search as it was before the counting prune and the three later
+    cuts."""
 
     counting_prune = False
+    one_pick = False
+    dead_exclude = False
+    packing_prune = False
+
+
+# Each later cut alone on the unpruned search.
+_ONE_CUT_SEARCHES = [
+    type(f"_Only_{flag}", (_UnprunedListSearch,), {flag: True})
+    for flag in ("one_pick", "dead_exclude", "packing_prune")
+]
 
 
 def _list_minimum(g, mode, k, **kw):
@@ -221,11 +265,11 @@ def _list_minimum(g, mode, k, **kw):
         return exact_minimum(g, mode, k, **kw)
 
 
-def _unpruned_minimum(g, mode, k):
+def _unpruned_minimum(g, mode, k, search=_UnprunedListSearch):
     """(optimum, witness, nodes_explored) of the oracle before the counting
     bound: its target loop starts at ceil(n / (max_degree + 1)) for
-    domination, k for k-tuple and 1 for k-domination, and its search has no
-    counting prune."""
+    domination, k for k-tuple and 1 for k-domination, and its search, by
+    default, has none of the cuts."""
     if mode is Mode.KDOM and k > g.max_degree():
         return g.n, tuple(range(g.n)), 0
     if mode is Mode.DOM:
@@ -234,7 +278,7 @@ def _unpruned_minimum(g, mode, k):
         lower = k
     else:
         lower = 1
-    searcher = _UnprunedListSearch(g, mode, k)
+    searcher = search(g, mode, k)
     for target in range(lower, g.n + 1):
         witness = searcher.feasible(target)
         if witness is not None:
@@ -304,6 +348,22 @@ def test_counting_cuts_keep_optimum_and_witness(n, p, seed):
         optimum, witness, nodes = _unpruned_minimum(g, mode, k)
         assert (r.optimum, r.witness) == (optimum, witness)
         assert r.nodes_explored <= nodes
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 16),
+    st.sampled_from((0.1, 0.2, 0.3, 0.5, 0.7, 0.9)),
+    st.integers(0, 2**32),
+)
+def test_each_cut_alone_keeps_optimum_and_witness(n, p, seed):
+    g = generate(FamilySpec("erdos_renyi", n=n, p=p, seed=seed))
+    for mode, k in _admissible(g):
+        optimum, witness, nodes = _unpruned_minimum(g, mode, k)
+        for search in _ONE_CUT_SEARCHES:
+            cut = _unpruned_minimum(g, mode, k, search)
+            assert cut[:2] == (optimum, witness), search.__name__
+            assert cut[2] <= nodes, search.__name__
 
 
 @settings(deadline=None, max_examples=100)

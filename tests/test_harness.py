@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import math
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -343,10 +342,6 @@ def test_run_corpus_rejects_empty():
 def test_run_corpus_names_an_empty_corpus():
     with pytest.raises(ValueError, match="^corpus is empty$"):
         run_corpus([])
-    # Without entries, run_corpus reads the default corpus, and checks it too.
-    with mock.patch.object(harness, "default_corpus", return_value=[]):
-        with pytest.raises(ValueError, match="^corpus is empty$"):
-            run_corpus()
 
 
 def test_run_entry_uses_spec_id():

@@ -34,7 +34,7 @@ from multidom import (
     verify_greedy_optimality,
 )
 from multidom.ledger import lcm_upto
-from conftest import closed_neighborhood, covered_at, graphs, harmonic
+from conftest import closed_neighborhood, covered_at, degree, graphs, harmonic
 
 
 def star(leaves):
@@ -422,7 +422,7 @@ def _ref_neighborhood_bound(led, w):
         lhs += _ref_own_cost_sum(led, w)
     else:
         lhs += _ref_cost(led, w, w)
-    return lhs, harmonic(g.degree(w) + self_gain(led.mode, led.k, 0))
+    return lhs, harmonic(degree(g, w) + self_gain(led.mode, led.k, 0))
 
 
 def _ref_residual_decomposition(led, w, lhs):
@@ -506,7 +506,7 @@ def test_forged_ledgers_rejected_by_both_paths(g):
             forged = dataclasses.replace(
                 led, arrivals=led.arrivals[:v] + (moved,) + led.arrivals[v + 1:]
             )
-            assert forged.residual_sequence(v)[0] != g.degree(v) + self_gain(mode, k, 0)
+            assert forged.residual_sequence(v)[0] != degree(g, v) + self_gain(mode, k, 0)
             got = _audit(forged, sol.size, INTEGER_AUDIT)
             assert got == _audit(forged, sol.size, FRACTION_AUDIT)
             assert audit(forged)[0] is got[2]
@@ -655,7 +655,7 @@ def test_residual_sequences(g):
         led = build_ledger(g, solve(g, mode, k))
         for w in range(g.n):
             r = led.residual_sequence(w)
-            assert r[0] == g.degree(w) + self_gain(mode, k, 0)
+            assert r[0] == degree(g, w) + self_gain(mode, k, 0)
             assert all(a >= b for a, b in zip(r, r[1:]))
             assert r[-1] == 0
             assert all(x > 0 for x in r[:-1])
@@ -667,7 +667,7 @@ def test_residual_sequences_dom(g):
     led = build_ledger(g, solve(g, Mode.DOM))
     for w in range(g.n):
         r = led.residual_sequence(w)
-        assert r[0] == g.degree(w) + 1
+        assert r[0] == degree(g, w) + 1
         assert r[-1] == 0
         assert all(a >= b for a, b in zip(r, r[1:]))
 
