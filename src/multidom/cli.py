@@ -83,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--format", default="dimacs", choices=FORMATS)
-        p.add_argument("--n", type=int, help="vertex count override for edgelist input")
         if name == "solve":
             p.add_argument("--trace", help="write the full iteration trace to this path")
         if name in ("exact", "verify"):
@@ -101,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selfcheck", help="instance-independent checks")
     p_self.add_argument("--x-max", type=int, default=1000, help="harmonic pair-check limit")
     p_self.add_argument("--delta-max", type=int, default=1000, help="ratio-improvement check limit")
-    p_self.add_argument("--gap-k-max", type=int, default=5, help="gap-witness check limit")
     p_self.set_defaults(func=_cmd_selfcheck)
     return parser
 
@@ -192,14 +190,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    if args.gap_k_max < 2:
-        raise ValueError(f"gap_k_max must be >= 2, got {args.gap_k_max}")
     checks = {
         "harmonic_inequalities": check_harmonic_inequalities(args.x_max),
         "ratio_improvement": check_ratio_improvement(args.delta_max),
     }
     gap_ok = True
-    for k in range(2, args.gap_k_max + 1):
+    for k in range(2, 6):  # the witnesses k = 2..5
         g = generate(FamilySpec("gap_witness", k=k))
         gap_ok = gap_ok and gap_witness_check(g, k).holds
     checks["gap_witness"] = gap_ok
@@ -209,14 +205,12 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
-    if args.n is not None and args.format != "edgelist":
-        raise ValueError("--n applies only to --format edgelist")
     if args.input == "-":
         text = sys.stdin.read()
     else:
         with open(args.input) as fh:
             text = fh.read()
-    return parse_graph(text, args.format, n=args.n)
+    return parse_graph(text, args.format)
 
 
 def _entries_from_json(doc: object) -> list[CorpusEntry]:

@@ -15,12 +15,13 @@ Two text formats:
 * edgelist: `#` comment lines and `u v` pairs with 0-based endpoints.  The
   writer emits a leading `# n <n>` directive so isolated trailing vertices
   survive a round trip; the parser honors the directive, rejects a second
-  one, lets an explicit n argument override it, and otherwise infers n as
-  max id + 1.
+  one, and otherwise infers n as max id + 1.
 
+The line readers take an integer only as ASCII `-?[0-9]+` (leading zeros
+allowed); int() alone would also take `1_0`, `+1` and non-ASCII digits.
 Parse errors carry the 1-based line number.  A vertex count outside
 1..graph.MAX_VERTICES is reported at the dimacs `p` line or the edgelist
-`# n` line, and a count from n or the largest id at the end.  Writers
+`# n` line, and a count from the largest id at the end.  Writers
 emit edges sorted, one adjacency row at a time (Graph.edge_text), so output
 is canonical: parse(write(g)) == g for every graph.
 """
@@ -69,11 +70,11 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-def parse_graph(text: str, fmt: str, *, n: int | None = None) -> Graph:
+def parse_graph(text: str, fmt: str) -> Graph:
     if fmt == "dimacs":
         return parse_dimacs(text)
     if fmt == "edgelist":
-        return parse_edge_list(text, n=n)
+        return parse_edge_list(text)
     raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
 
 
@@ -198,8 +199,8 @@ def write_dimacs(g: Graph) -> str:
     return f"p edge {g.n} {g.m}\n" + g.edge_text(1, "e ", " ", "\n")
 
 
-def parse_edge_list(text: str, *, n: int | None = None) -> Graph:
-    directive_n = None
+def parse_edge_list(text: str) -> Graph:
+    n = None
     edges: list[tuple[int, int]] = []
     max_id = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -209,12 +210,11 @@ def parse_edge_list(text: str, *, n: int | None = None) -> Graph:
         if line.startswith("#"):
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] == "n":
-                if directive_n is not None:
+                if n is not None:
                     raise FormatError(line_no, "duplicate n directive")
                 try:
-                    directive_n = int(fields[1])
-                    if n is None:  # an n argument overrides the directive
-                        check_vertex_count(directive_n)
+                    n = _int(fields[1])
+                    check_vertex_count(n)
                 except GraphError as exc:  # a ValueError too, so caught first
                     raise FormatError(line_no, str(exc)) from None
                 except ValueError:
@@ -231,13 +231,12 @@ def parse_edge_list(text: str, *, n: int | None = None) -> Graph:
             raise FormatError(line_no, f"self-loop at {u}")
         edges.append((u, v))
         max_id = max(max_id, u, v)
-    total = n if n is not None else directive_n
-    if total is None:
+    if n is None:
         if max_id < 0:
             raise FormatError(1, "cannot infer vertex count from an empty edge list")
-        total = max_id + 1
+        n = max_id + 1
     try:
-        return Graph(total, edges)
+        return Graph(n, edges)
     except GraphError as exc:
         raise FormatError(len(text.splitlines()) + 1, str(exc)) from exc
 
@@ -326,6 +325,17 @@ def _cell(value: object) -> str:
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
     try:
-        return int(token)
+        return _int(token)
     except ValueError:
         raise FormatError(line_no, f"bad {what} {token!r}") from None
+
+
+def _int(token: str) -> int:
+    """int(token) for a token of the form ASCII -?[0-9]+; any other token
+    raises ValueError, as int() does for more digits than it converts.
+    isdigit() alone would also take non-ASCII digits."""
+    if not (token.isdigit() and token.isascii()) and not (
+        token[:1] == "-" and token[1:].isdigit() and token.isascii()
+    ):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)

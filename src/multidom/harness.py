@@ -211,11 +211,8 @@ def default_corpus() -> list[CorpusEntry]:
     return entries
 
 
-def run_entry(
-    entry: CorpusEntry, *, max_n: int = DEFAULT_MAX_N, graph: Graph | None = None
-) -> RatioReport:
-    """Verify one corpus entry on graph, generated from entry.spec if None."""
-    g = generate(entry.spec) if graph is None else graph
+def run_entry(entry: CorpusEntry, g: Graph, *, max_n: int) -> RatioReport:
+    """Verify one corpus entry on g, the graph of entry.spec."""
     return verify_instance(g, entry.mode, entry.k, spec=entry.spec, max_n=max_n)
 
 
@@ -269,7 +266,7 @@ def _run_spec(arg: tuple[int, list[CorpusEntry], int]) -> list[RatioReport]:
         if key in runs:
             reports.append(replace(runs[key], mode=e.mode, k=e.k))
         else:
-            runs[key] = run_entry(e, max_n=max_n, graph=g)
+            runs[key] = run_entry(e, g, max_n=max_n)
             reports.append(runs[key])
     return reports
 

@@ -6,11 +6,9 @@ score.  The unit spent on iteration i is split evenly among its score(i)
 arrivals, so each arrival costs 1/score(i).
 This module replays a solution trace with the solver's own step
 (solvers.apply_step), rejects a trace whose recorded step differs from the
-replayed one, and checks the three facts the analysis needs exactly:
+replayed one, and checks two facts of the analysis exactly:
 
 * sum identity: all per-arrival costs add up to exactly the solution size;
-* subset bound: the total charged to a vertex is at most the total it would
-  have been charged by any k-subset of its closed neighborhood;
 * neighborhood bound: the total charge seen around any single vertex w is at
   most H(deg(w) + self_gain), where self_gain is what w would give itself
   if chosen first: 1 for the closed-neighborhood variants, k for
@@ -19,6 +17,11 @@ replayed one, and checks the three facts the analysis needs exactly:
   while it is uncovered; each arrival around w is charged at most 1 over
   that potential, so the charges telescope to the harmonic number.
 
+The third fact, the subset bound (the total charged to a vertex is at most
+what any k-subset of its closed neighborhood would be charged), has an
+exponential number of subsets; the tests check it against every subset on
+small graphs.
+
 Every score is at most max_degree + self_gain(mode, k, 0), so every charge,
 row sum, harmonic bound and step of the residual telescoping is an integer
 multiple of 1/unit, unit = lcm(1..max_degree + self_gain(mode, k, 0)).  The
@@ -26,7 +29,7 @@ checks therefore compare exact Python ints, shares of unit; a Fraction is
 built only for the rows audit() returns, and floats only appear when
 comparing harmonic numbers against logarithms.
 audit() runs the sum identity and every vertex's neighborhood bound in one
-pass; check_subset_cost_bound is called per vertex and subset.
+pass.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "CostLedger",
     "build_ledger",
     "check_sum_identity",
-    "check_subset_cost_bound",
     "check_neighborhood_bound",
     "check_residual_decomposition",
     "audit",
@@ -48,7 +50,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graph import MAX_VERTICES, Graph
 from .solvers import Mode, Solution, apply_step, check_k, is_trivial, self_gain
@@ -268,24 +270,6 @@ def check_sum_identity(ledger: CostLedger) -> int:
         for it in its:
             counts[it - 1] += 1
     return sum(c * s for c, s in zip(counts, ledger.shares))
-
-
-def check_subset_cost_bound(ledger: CostLedger, v: int, subset: Iterable[int]) -> bool:
-    """True iff v's own coverage charge is at most the charge to subset.
-
-    subset must be a subset of N[v] with at least k members.  The chosen
-    vertices covering v were picked greedily, so charging any k-or-more
-    members of v's closed neighborhood can only cost more.
-    """
-    w_set = frozenset(subset)
-    ledger.graph._check_vertex(v)
-    if not w_set <= {v, *ledger.graph.adjacency[v]}:
-        raise ValueError(f"subset {sorted(w_set)} is not within the closed neighborhood of {v}")
-    if len(w_set) < ledger.k:
-        raise ValueError(f"subset must have at least k={ledger.k} members, got {len(w_set)}")
-    shares, arrivals_v, joined = ledger.shares, ledger.arrivals[v], ledger.joined
-    own = sum(shares[it - 1] for it in arrivals_v)
-    return own <= sum(shares[min(joined[w], arrivals_v[-1]) - 1] for w in w_set)
 
 
 def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[int, int]:

@@ -98,12 +98,13 @@ class IterationRecord:
     """One greedy step.
 
     index is 1-based.  score is the selection score of the chosen vertex,
-    recomputed from scratch at the pre-selection state.  newly_covered lists
-    the vertices whose coverage requirement became satisfied during this
-    step, ascending.  tokens_placed is empty except in KDOM mode, where it
-    maps vertex -> tokens received this step (the chosen vertex's own entry
-    counts its deficiency top-up).  covered_after is the number of fully
-    covered vertices once the step is applied.
+    the number of arrivals its choice causes, as apply_step() counts them
+    at the pre-selection state.  newly_covered lists the vertices whose
+    coverage requirement became satisfied during this step, ascending.
+    tokens_placed is empty except in KDOM mode, where it maps vertex ->
+    tokens received this step (the chosen vertex's own entry counts its
+    deficiency top-up).  covered_after is the number of fully covered
+    vertices once the step is applied.
     """
 
     index: int
@@ -114,7 +115,7 @@ class IterationRecord:
     covered_after: int = 0
 
     def __post_init__(self) -> None:
-        # Freeze the mapping so records stay hashable-by-content in spirit.
+        # A read-only copy, so a record cannot change after it is made.
         object.__setattr__(self, "tokens_placed", MappingProxyType(dict(self.tokens_placed)))
 
 
@@ -197,11 +198,8 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
 
     score[v] is kept current after every step, and candidates sit in a lazy
     max-heap of (-score, v) keys.  A top key that differs from the current
-    score goes back with that score; otherwise its vertex is taken.  This is
-    exact because a score never rises (counts only grow and chosen vertices
-    leave the heap), so every stored score is at least the true one, and a
-    fresh top therefore holds the maximum score with the smallest id among
-    the vertices that have it.
+    score goes back with that score; otherwise its vertex is taken, which
+    the module docstring shows is the pick a full scan would make.
 
     Raises KOutOfRangeError when check_k rejects k.
     """

@@ -64,6 +64,25 @@ def covered_at(led, v):
     return led.arrivals[v][-1]
 
 
+def check_subset_cost_bound(ledger, v, subset):
+    """True iff v's own coverage charge is at most the charge to subset, in
+    shares of ledger.unit: the all-subsets reference of the subset bound.
+
+    subset must be a subset of N[v] with at least k members.  The chosen
+    vertices covering v were picked greedily, so charging any k-or-more
+    members of v's closed neighborhood can only cost more.
+    """
+    w_set = frozenset(subset)
+    ledger.graph._check_vertex(v)
+    if not w_set <= {v, *ledger.graph.adjacency[v]}:
+        raise ValueError(f"subset {sorted(w_set)} is not within the closed neighborhood of {v}")
+    if len(w_set) < ledger.k:
+        raise ValueError(f"subset must have at least k={ledger.k} members, got {len(w_set)}")
+    shares, arrivals_v, joined = ledger.shares, ledger.arrivals[v], ledger.joined
+    own = sum(shares[it - 1] for it in arrivals_v)
+    return own <= sum(shares[min(joined[w], arrivals_v[-1]) - 1] for w in w_set)
+
+
 def verify_monotonicity(g, k_max, *, max_n=DEFAULT_MAX_N):
     """Check the ordering facts among the exact optima up to k_max.
 

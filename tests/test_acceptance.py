@@ -22,7 +22,6 @@ from multidom import (
     check_harmonic_log_bound,
     check_neighborhood_bound,
     check_ratio_improvement,
-    check_subset_cost_bound,
     check_sum_identity,
     default_corpus,
     exact_minimum,
@@ -34,7 +33,7 @@ from multidom import (
     solve,
     write_graph,
 )
-from conftest import closed_neighborhood, verify_monotonicity
+from conftest import check_subset_cost_bound, closed_neighborhood, verify_monotonicity
 
 CORPUS_TIME_BUDGET_S = 300.0
 

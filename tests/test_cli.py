@@ -286,10 +286,7 @@ def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):
 
 
 def test_selfcheck(capsys):
-    code = main(
-        ["selfcheck", "--x-max", "60", "--delta-max", "60", "--gap-k-max", "3"]
-    )
-    assert code == 0
+    assert main(["selfcheck", "--x-max", "60", "--delta-max", "60"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "pass"
     assert doc["harmonic_inequalities"] is True
@@ -317,9 +314,41 @@ def test_duplicate_n_directive_is_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: line 2: duplicate n directive\n"
 
 
-def test_n_rejected_for_dimacs_input(c6_path, capsys):
-    assert main(["solve", c6_path, "--mode", "dom", "--n", "8"]) == 2
-    assert capsys.readouterr().err == "error: --n applies only to --format edgelist\n"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "C6", "--mode", "dom", "--n", "8"],
+        ["solve", "C6", "--mode", "dom", "--format", "edgelist", "--n", "8"],
+        ["exact", "C6", "--mode", "dom", "--format", "edgelist", "--n", "8"],
+        ["selfcheck", "--gap-k-max", "5"],
+    ],
+    ids=["verify_n", "solve_n", "exact_n", "selfcheck_gap_k_max"],
+)
+def test_removed_options_are_usage_errors(c6_path, capsys, argv):
+    # The edgelist count comes from its `# n` line or its largest id, and
+    # selfcheck replays the gap witnesses for k = 2..5.
+    with pytest.raises(SystemExit) as exc_info:
+        main([c6_path if a == "C6" else a for a in argv])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fmt,text,where",
+    [
+        ("dimacs", "p edge 12 1\ne 1_0 2\n", "line 2: bad endpoint '1_0'"),
+        ("edgelist", "# n 1_2\n0 1\n", "line 1: bad n directive '# n 1_2'"),
+        ("edgelist", "0 +1\n", "line 1: bad endpoint '+1'"),
+    ],
+)
+def test_integer_forms_beyond_ascii_digits_are_input_errors(monkeypatch, capsys, fmt, text, where):
+    import io
+    import sys
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["verify", "-", "--mode", "dom", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}\n"
 
 
 @pytest.mark.parametrize(
@@ -348,8 +377,9 @@ def test_vertex_cap_is_usage_error(monkeypatch, capsys, argv, text, where):
     [
         (["bench", "--jobs", "0"], "jobs must be >= 1, got 0"),
         (["bench", "--jobs", "-4"], "jobs must be >= 1, got -4"),
-        (["selfcheck", "--gap-k-max", "1"], "gap_k_max must be >= 2, got 1"),
-        (["selfcheck", "--gap-k-max", "-3"], "gap_k_max must be >= 2, got -3"),
+        (["exact", "C6", "--mode", "kdom", "--k", "0"], "k-domination needs k >= 1, got k=0"),
+        (["solve", "C6", "--mode", "ktuple", "--k", "4"],
+         "k-tuple domination needs 1 <= k <= min_degree + 1 = 3, got k=4"),
         (["selfcheck", "--x-max", "0"], "x_max must be >= 1, got 0"),
         (["selfcheck", "--delta-max", "0"], "delta_max must be >= 1, got 0"),
         # A cap below 1 would refuse every exact run, not turn the check off.

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from multidom import harness
 from multidom import (
+    DEFAULT_MAX_N,
     CorpusEntry,
     FamilySpec,
     Graph,
@@ -233,7 +234,10 @@ def _untimed(report):
 @pytest.fixture(scope="module")
 def default_per_entry():
     """Untimed default-corpus reports, one run_entry per entry, in canonical order."""
-    reports = sorted((run_entry(e) for e in default_corpus()), key=RatioReport.sort_key)
+    reports = sorted(
+        (run_entry(e, generate(e.spec), max_n=DEFAULT_MAX_N) for e in default_corpus()),
+        key=RatioReport.sort_key,
+    )
     return [_untimed(r) for r in reports]
 
 
@@ -334,11 +338,6 @@ def test_run_corpus_shares_runs_the_same_in_workers(entries):
     assert [_untimed(r) for r in parallel] == [_untimed(r) for r in serial]
 
 
-def test_run_corpus_rejects_empty():
-    with pytest.raises(ValueError):
-        run_corpus([])
-
-
 def test_run_corpus_names_an_empty_corpus():
     with pytest.raises(ValueError, match="^corpus is empty$"):
         run_corpus([])
@@ -346,7 +345,7 @@ def test_run_corpus_names_an_empty_corpus():
 
 def test_run_entry_uses_spec_id():
     entry = CorpusEntry(FamilySpec("cycle", n=8), Mode.DOM, 1)
-    report = run_entry(entry)
+    report = run_entry(entry, generate(entry.spec), max_n=DEFAULT_MAX_N)
     assert report.instance_id == "cycle(n=8)"
     assert report.family == "cycle"
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -196,12 +197,7 @@ def test_parse_edge_list_basic():
     g = parse_edge_list("# comment\n0 1\n1 2\n")
     assert (g.n, g.m) == (3, 2)
     assert parse_edge_list("# n 3\n\n0 1\n\n") == Graph(3, [(0, 1)])  # blank lines skipped
-
-
-def test_edge_list_n_directive_and_override():
-    text = "# n 6\n0 1\n"
-    assert parse_edge_list(text).n == 6
-    assert parse_edge_list(text, n=8).n == 8
+    assert parse_edge_list("# n 6\n0 1\n").n == 6
     assert parse_edge_list("0 1\n").n == 2  # inferred as max id + 1
 
 
@@ -245,19 +241,49 @@ def test_edge_list_vertex_cap(text):
         parse_edge_list(text)
 
 
-def test_n_argument_overrides_the_directive_count_check():
-    assert parse_edge_list("# n -3\n0 1\n", n=5) == Graph(5, [(0, 1)])
-    # A bad count from the argument is reported at the end of the text.
-    with pytest.raises(FormatError, match="^line 3: graph needs at least one vertex, got n=0$"):
-        parse_edge_list("# n 2\n0 1\n", n=0)
-
-
 def test_edge_list_rejects_a_second_n_directive():
     # A later directive is not a comment: it would silently lose to the first.
     with pytest.raises(FormatError, match="^line 2: duplicate n directive$"):
         parse_edge_list(f"# n 3\n# n {MAX_VERTICES + 1}\n0 1\n")
     with pytest.raises(FormatError, match="^line 3: duplicate n directive$"):
-        parse_edge_list("# n 3\n0 1\n# n 3\n", n=5)
+        parse_edge_list("# n 3\n0 1\n# n 3\n")
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_dimacs, "p edge 12 1\ne 1_0 2\n", "line 2: bad endpoint '1_0'"),
+        (parse_dimacs, "p edge 3 1\ne +1 2\n", "line 2: bad endpoint '+1'"),
+        (parse_dimacs, "p edge 3 1\ne \u0661 2\n", "line 2: bad endpoint '\u0661'"),
+        (parse_dimacs, "p edge +3 0\n", "line 1: bad vertex count '+3'"),
+        (parse_dimacs, "p edge 3 0_0\n", "line 1: bad edge count '0_0'"),
+        (parse_edge_list, "# n 1_2\n0 1\n", "line 1: bad n directive '# n 1_2'"),
+        (parse_edge_list, "# n +3\n0 1\n", "line 1: bad n directive '# n +3'"),
+        (parse_edge_list, "0 1_0\n", "line 1: bad endpoint '1_0'"),
+        (parse_edge_list, "0 \u0663\n", "line 1: bad endpoint '\u0663'"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_line_readers_take_only_ascii_digits(parse, text, message):
+    # int() alone takes underscores, a plus sign and any Unicode digit.
+    with pytest.raises(FormatError) as exc_info:
+        parse(text)
+    assert str(exc_info.value) == message
+
+
+def test_line_readers_keep_leading_zeros():
+    assert parse_dimacs("p edge 03 01\ne 001 3\n") == Graph(3, [(0, 2)])
+    assert parse_edge_list("# n 05\n00 01\n") == Graph(5, [(0, 1)])
+
+
+@given(st.text(alphabet="-+_ 07\u0661\u00b2\uff13", max_size=5))
+def test_int_token_matches_the_ascii_pattern(token):
+    # graphio._int tests str methods, not this regex; they must agree.
+    if re.fullmatch(r"-?[0-9]+", token):
+        assert graphio._int(token) == int(token)
+    else:
+        with pytest.raises(ValueError):
+            graphio._int(token)
 
 
 def test_edge_list_rejects_ids_beyond_declared_n():

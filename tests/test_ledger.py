@@ -25,7 +25,6 @@ from multidom import (
     check_harmonic_log_bound,
     check_neighborhood_bound,
     check_residual_decomposition,
-    check_subset_cost_bound,
     check_sum_identity,
     default_corpus,
     generate,
@@ -34,7 +33,14 @@ from multidom import (
     verify_greedy_optimality,
 )
 from multidom.ledger import lcm_upto
-from conftest import closed_neighborhood, covered_at, degree, graphs, harmonic
+from conftest import (
+    check_subset_cost_bound,
+    closed_neighborhood,
+    covered_at,
+    degree,
+    graphs,
+    harmonic,
+)
 
 
 def star(leaves):

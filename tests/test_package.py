@@ -2,9 +2,13 @@ import ast
 import importlib
 import inspect
 
+import pytest
+
 import multidom
 
 MODULES = ("exact", "generators", "graph", "graphio", "harness", "ledger", "solvers")
+# Dependencies run one way: a module imports only modules before it.
+LAYER_ORDER = ("graph", "generators", "solvers", "ledger", "exact", "harness", "graphio", "cli")
 
 
 def _top_level_names(module):
@@ -21,7 +25,7 @@ def _top_level_names(module):
 def test_package_exports_exactly_the_module_interfaces():
     modules = [importlib.import_module(f"multidom.{name}") for name in MODULES]
     assert multidom.__all__ == [name for m in modules for name in m.__all__]
-    assert len(set(multidom.__all__)) == len(multidom.__all__) == 57
+    assert len(set(multidom.__all__)) == len(multidom.__all__) == 56
     for module in modules:
         defined = _top_level_names(module)
         for name in module.__all__:
@@ -35,3 +39,21 @@ def test_star_import_binds_only_the_public_names():
     exec("from multidom import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(multidom.__all__)
+
+
+def _relative_imports(module):
+    """The sibling modules a module imports, by from-relative imports anywhere
+    in its source."""
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+@pytest.mark.parametrize("name", LAYER_ORDER)
+def test_modules_import_only_earlier_layers(name):
+    imported = _relative_imports(importlib.import_module(f"multidom.{name}"))
+    assert imported <= set(LAYER_ORDER), imported - set(LAYER_ORDER)
+    later = [m for m in imported if LAYER_ORDER.index(m) >= LAYER_ORDER.index(name)]
+    assert not later, f"multidom.{name} imports {later}, not before it in {LAYER_ORDER}"
