@@ -41,7 +41,7 @@ from .harness import (
     verify_instance,
 )
 from .ledger import check_harmonic_inequalities
-from .solvers import Mode, solve
+from .solvers import Mode, check_multiplicity, solve
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -146,6 +146,9 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # A k that no graph admits is a usage error; a k-tuple k above this
+    # graph's min_degree + 1 is a skipped instance.
+    check_multiplicity(Mode(args.mode), args.k)
     g = _read_graph(args)
     report = verify_instance(g, Mode(args.mode), args.k, max_n=args.max_n)
     # The report's columns without its times, so the output of equal runs
@@ -219,7 +222,9 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
 
     n, a, b, seed and both k must be ints and p a number (a bool is
     neither); a spec field may be left out or null, and the generator then
-    reports what its family needs.  Raises ValueError naming the entry
+    reports what its family needs.  A k that no graph admits
+    (solvers.check_multiplicity) is malformed; a k-tuple k above a graph's
+    min_degree + 1 is a skipped entry.  Raises ValueError naming the entry
     index for a malformed document."""
     if not isinstance(doc, list):
         raise ValueError(f"corpus document must be a JSON list, got {type(doc).__name__}")
@@ -234,7 +239,9 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
                     raise ValueError(f"{name} must be an integer, got {value!r}")
             if spec.p is not None and type(spec.p) not in (int, float):
                 raise ValueError(f"p must be a number, got {spec.p!r}")
-            entries.append(CorpusEntry(spec, Mode(item["mode"]), k))
+            mode = Mode(item["mode"])
+            check_multiplicity(mode, k)
+            entries.append(CorpusEntry(spec, mode, k))
         except KeyError as exc:
             raise ValueError(f"corpus entry {i}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -4,15 +4,18 @@ Two independent implementations so they can cross-check each other:
 
 * exact_minimum_naive enumerates subsets in increasing cardinality and is
   the reference semantics (only viable for very small graphs);
-* exact_minimum is a branch-and-bound search: for each target size, branch
-  on the most-constrained unsatisfied vertex, including or excluding one of
-  its remaining potential coverers, with sound feasibility, counting and
-  packing pruning, a closed form for the last pick, and no exclude branch
-  that cannot satisfy its branch vertex.  Its vertex sets are Python-int
-  bitsets: each vertex's providers, the vertices still undecided on the
-  current branch, and the unsatisfied vertices, which are kept in step with
-  the arrival counts as vertices are chosen and unchosen, so a node costs a
-  few mask operations and one bit_count per unsatisfied vertex.
+* exact_minimum is a branch-and-bound search that starts from a known
+  solution, such as the greedy one, and asks for one vertex fewer until
+  there is no such set: only the last search, one below the optimum, has to
+  fail.  Each search branches on the most-constrained unsatisfied vertex,
+  including or excluding one of its remaining potential coverers, with
+  sound feasibility, counting and packing pruning, a closed form for the
+  last pick, and no exclude branch that cannot satisfy its branch vertex.
+  Its vertex sets are Python-int bitsets: each vertex's providers, the
+  vertices still undecided on the current branch, and the unsatisfied
+  vertices, which are kept in step with the arrival counts as vertices are
+  chosen and unchosen, so a node costs a few mask operations and one
+  bit_count per unsatisfied vertex.
 
 Both are deterministic: given the same input they visit candidates in the
 same order and return the same witness, and nodes_explored is reproducible.
@@ -31,6 +34,7 @@ __all__ = [
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import Graph
 from .solvers import Mode, check_k, is_trivial, satisfies, self_gain
@@ -77,21 +81,43 @@ def exact_minimum_naive(g: Graph, mode: Mode, k: int = 1, *, max_n: int = NAIVE_
     raise AssertionError("unreachable: the full vertex set always satisfies the validator")
 
 
-def exact_minimum(g: Graph, mode: Mode, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> ExactResult:
-    """Minimum by branch and bound, trying target sizes from a lower bound up.
+def exact_minimum(
+    g: Graph, mode: Mode, k: int = 1, *, max_n: int = DEFAULT_MAX_N, upper: Iterable[int] | None = None
+) -> ExactResult:
+    """Minimum by branch and bound, descending from a known solution.
+
+    best starts as upper, a satisfying set (sorted, repeats dropped), or as
+    all n vertices when upper is None.  While best is larger than the
+    counting bound, the search asks for a set of at most len(best) - 1
+    vertices and takes it as the new best; when there is none, best is a
+    minimum and the witness.  So the last target searched is OPT - 1, and
+    none at all when best already meets the bound.  nodes_explored counts
+    the search nodes of every target in the descent.
 
     Counting bound: a solution needs n * k useful arrivals (arrivals beyond k
     at one vertex are useless), and one chosen vertex gives at most
     max_degree + self_gain(mode, k, 0) of them, one to each neighbor and its
-    self-gain to itself.  So the target loop starts at
-    ceil(n * k / (max_degree + self_gain)), and the search prunes a branch
-    whose open deficit, the sum of k - count over the unsatisfied vertices,
-    exceeds its remaining budget times max_degree + self_gain.  Three more
-    cuts are described in _Search._dfs: a packing bound, a closed form for
-    the last pick, and skipping an exclude branch that cannot satisfy its
-    branch vertex.  Every cut drops only target sizes and branches that hold
-    no solution, or returns the solution the search would find first, so
-    the optimum and the witness are those of the search without them.
+    self-gain to itself.  So no set below ceil(n * k / (max_degree +
+    self_gain)) is searched for, and the search prunes a branch whose open
+    deficit, the sum of k - count over the unsatisfied vertices, exceeds its
+    remaining budget times max_degree + self_gain.  Three more cuts are
+    described in _Search._dfs: a packing bound, a closed form for the last
+    pick, and skipping an exclude branch that cannot satisfy its branch
+    vertex.
+
+    Why the witness does not depend on the path down: the order in which
+    the search visits branches does not depend on the target, and every cut
+    removes only branches that hold no set within the target, or returns
+    the set the search would reach first.  So the search at target t
+    returns the first leaf, in that order, of size at most t.  When that
+    leaf has OPT vertices it is also the answer at target OPT, the one an
+    ascending loop from the counting bound returns.  Without upper the
+    witness is therefore always that leaf; with upper it is that leaf too,
+    unless upper is itself minimum, and then it is upper.
+
+    Raises ValueError for an upper that does not satisfy mode and k on g,
+    checked after the size cap and k, and not read on an instance that
+    solvers.is_trivial settles.
     """
     _check_instance(g, mode, k, max_n)
     start = time.perf_counter()
@@ -104,20 +130,27 @@ def exact_minimum(g: Graph, mode: Mode, k: int = 1, *, max_n: int = DEFAULT_MAX_
             nodes_explored=0,
             time_s=time.perf_counter() - start,
         )
+    if upper is None:
+        best = list(range(g.n))
+    else:
+        best = sorted(set(upper))
+        if not satisfies(g, mode, k, best):
+            raise ValueError(f"upper {best} does not satisfy {mode} with k={k}")
     searcher = _Search(g, mode, k)
     lower = -(-g.n * k // searcher.pick_gain)
-    for target in range(lower, g.n + 1):
-        witness = searcher.feasible(target)
-        if witness is not None:
-            return ExactResult(
-                mode=mode,
-                k=k,
-                optimum=len(witness),
-                witness=tuple(sorted(witness)),
-                nodes_explored=searcher.nodes,
-                time_s=time.perf_counter() - start,
-            )
-    raise AssertionError("unreachable: the full vertex set always satisfies the validator")
+    while len(best) > lower:
+        smaller = searcher.feasible(len(best) - 1)
+        if smaller is None:
+            break
+        best = sorted(smaller)
+    return ExactResult(
+        mode=mode,
+        k=k,
+        optimum=len(best),
+        witness=tuple(best),
+        nodes_explored=searcher.nodes,
+        time_s=time.perf_counter() - start,
+    )
 
 
 def check_max_n(max_n: int) -> None:

@@ -55,22 +55,29 @@ class Graph:
     across threads/processes.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_fingerprint")
+    __slots__ = ("n", "m", "adjacency", "_fingerprint", "_max_degree", "_min_degree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         check_vertex_count(n)
         self.n = n
         self.adjacency: tuple[tuple[int, ...], ...] = _adjacency(n, edges)
         self.m = sum(map(len, self.adjacency)) // 2
+        # Lazy caches, set on first use; the only mutations after __init__.
         self._fingerprint: tuple[int, int, str] | None = None
+        self._max_degree: int | None = None
+        self._min_degree: int | None = None
 
     # -- basic queries ------------------------------------------------------
 
     def max_degree(self) -> int:
-        return max(len(a) for a in self.adjacency)
+        if self._max_degree is None:
+            self._max_degree = max(map(len, self.adjacency))
+        return self._max_degree
 
     def min_degree(self) -> int:
-        return min(len(a) for a in self.adjacency)
+        if self._min_degree is None:
+            self._min_degree = min(map(len, self.adjacency))
+        return self._min_degree
 
     # -- identity ------------------------------------------------------------
 
@@ -80,7 +87,6 @@ class Graph:
             # One payload: the header, then "u,v;" for each edge in edge_text order.
             payload = f"n={self.n};m={self.m};" + self.edge_text(0, "", ",", ";")
             digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-            # Lazy cache; the only mutation after __init__.
             self._fingerprint = (self.n, self.m, digest)
         return self._fingerprint
 

@@ -310,7 +310,17 @@ def write_report_csv(reports: Iterable[RatioReport]) -> str:
 
 
 def write_report_json(reports: Iterable[RatioReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+    """json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n".
+
+    indent= selects json's pure-Python encoder.  Every column holds a
+    scalar, so each report is one flat object, and the C encoder renders it
+    with the separator that indent=2 puts between the fields of an object
+    in a list; only the list's frame is written here.
+    """
+    items = [json.dumps(report_to_dict(r), separators=(",\n    ", ": "))[1:-1] for r in reports]
+    if not items:
+        return "[]\n"
+    return "[\n  {\n    " + "\n  },\n  {\n    ".join(items) + "\n  }\n]\n"
 
 
 def _cell(value: object) -> str:

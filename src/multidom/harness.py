@@ -128,6 +128,9 @@ def verify_instance(
 ) -> RatioReport:
     """Greedy-solve, audit the ledger, exact-solve, and compare the ratio.
 
+    The exact search descends from the greedy solution (exact_minimum's
+    upper), so it only has to show that one vertex fewer does not suffice.
+
     Raises ValueError for max_n < 1, whether or not the exact search runs.
     """
     check_max_n(max_n)
@@ -154,7 +157,7 @@ def verify_instance(
     bound = approximation_bound(mode, g.max_degree(), k)
     exact_fields = {}
     try:
-        exact = exact_minimum(g, mode, k, max_n=max_n)
+        exact = exact_minimum(g, mode, k, max_n=max_n, upper=sol.chosen)
     except InstanceTooLargeError:
         pass  # over the size cap: the exact fields stay None
     else:

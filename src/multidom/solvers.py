@@ -143,18 +143,23 @@ class Solution:
 
 def check_k(g: Graph, mode: Mode, k: int) -> None:
     """Raise KOutOfRangeError unless mode admits multiplicity k on g."""
+    check_multiplicity(mode, k)
+    if mode is Mode.KTUPLE and k > g.min_degree() + 1:
+        raise KOutOfRangeError(
+            f"k-tuple domination needs 1 <= k <= min_degree + 1 = {g.min_degree() + 1}, got k={k}"
+        )
+
+
+def check_multiplicity(mode: Mode, k: int) -> None:
+    """Raise KOutOfRangeError for a k that mode admits on no graph: k != 1
+    for plain domination, k < 1 for the other two."""
     _check_mode(mode)
     if mode is Mode.DOM:
         if k != 1:
             raise KOutOfRangeError(f"plain domination has no multiplicity, got k={k}")
-    elif mode is Mode.KTUPLE:
-        if not 1 <= k <= g.min_degree() + 1:
-            raise KOutOfRangeError(
-                f"k-tuple domination needs 1 <= k <= min_degree + 1 = {g.min_degree() + 1}, got k={k}"
-            )
-    elif mode is Mode.KDOM:
-        if k < 1:
-            raise KOutOfRangeError(f"k-domination needs k >= 1, got k={k}")
+    elif k < 1:
+        name = "k-tuple domination" if mode is Mode.KTUPLE else "k-domination"
+        raise KOutOfRangeError(f"{name} needs k >= 1, got k={k}")
 
 
 def _check_mode(mode: Mode) -> None:
@@ -285,8 +290,7 @@ def satisfies(g: Graph, mode: Mode, k: int, xs: Iterable[int]) -> bool:
     ValueError for a mode that is not a Mode (such as the string "kdom"),
     and GraphError for a member outside 0..n-1.
     """
-    if k < 1 or mode is not Mode.KTUPLE:  # a k-tuple k above min_degree + 1 is just unmet
-        check_k(g, mode, k)
+    check_multiplicity(mode, k)  # a k-tuple k above min_degree + 1 is just unmet
     count = [0] * g.n
     for x in set(xs):
         g._check_vertex(x)

@@ -395,6 +395,30 @@ def test_out_of_range_limits_are_usage_errors(c6_path, capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "mode,k,message",
+    [
+        ("kdom", 0, "k-domination needs k >= 1, got k=0"),
+        ("ktuple", -1, "k-tuple domination needs k >= 1, got k=-1"),
+        ("dom", 2, "plain domination has no multiplicity, got k=2"),
+    ],
+)
+def test_k_that_no_graph_admits_is_usage_error(c6_path, tmp_path, capsys, mode, k, message):
+    # Not a skipped instance: verify and bench refuse it before any run, as
+    # solve and exact do.  A k-tuple k above min_degree + 1 stays a skip.
+    assert main(["verify", c6_path, "--mode", mode, "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps([
+        {"spec": {"family": "cycle", "n": 6}, "mode": "dom", "k": 1},
+        {"spec": {"family": "cycle", "n": 6}, "mode": mode, "k": k},
+    ]))
+    assert main(["bench", "--corpus", str(corpus_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: corpus entry 1: {message}\n")
+
+
 def test_bench_cap_below_one_is_usage_error_without_exact_runs(tmp_path, capsys):
     # The only entry skips before the exact search, so the cap is checked
     # up front, not where the search would read it.

@@ -17,8 +17,10 @@ from multidom import (
     exact_minimum_naive,
     generate,
     self_gain,
+    solve,
 )
 from multidom import exact
+from multidom.solvers import is_trivial
 # Witnesses are checked against the frozenset reference, not satisfies: the
 # naive oracle itself calls satisfies.
 from conftest import closed_neighborhood, graphs, ref_satisfies, verify_monotonicity
@@ -76,6 +78,9 @@ def test_size_caps():
     with pytest.raises(InstanceTooLargeError):
         exact_minimum(big, Mode.DOM)
     exact_minimum(big, Mode.DOM, max_n=30)  # override works
+    # The cap is checked before upper is read.
+    with pytest.raises(InstanceTooLargeError):
+        exact_minimum(big, Mode.DOM, upper=[])
     with pytest.raises(InstanceTooLargeError):
         exact_minimum_naive(Graph(9, []), Mode.DOM)
 
@@ -88,6 +93,9 @@ def test_k_range_errors():
         exact_minimum(g, Mode.KDOM, 0)
     with pytest.raises(KOutOfRangeError):
         exact_minimum(g, Mode.DOM, 2)
+    # So is k.
+    with pytest.raises(KOutOfRangeError):
+        exact_minimum(g, Mode.KDOM, 0, upper=[])
 
 
 def test_nodes_explored_reproducible():
@@ -99,29 +107,44 @@ def test_nodes_explored_reproducible():
 
 
 # One sha256 over the optimum, the witness and nodes_explored of every
-# solvable default-corpus run (20097 nodes in total), recorded when the
-# one-pick, dead-exclude and packing cuts went in; the search tree had 43088
-# nodes with the counting bound and prune alone, and 72651 before them.
-PINNED_EXACT = (681, "11b78b34fd9d5af7765ef248bc98b6b210c36b8ad461c462172d98bda2d85dc6")
+# solvable default-corpus run with no upper (23999 nodes in total), recorded
+# when the target loop began to descend from all n vertices; the ascending
+# loop had searched 20097 nodes, 43088 before the one-pick, dead-exclude and
+# packing cuts and 72651 before the counting bound and prune.
+PINNED_EXACT = (681, "2e746d845732ff1d19fb4a99cbbbac17434e321e8b910423bf10fc3e94478299")
 # The same runs' optimum and witness alone, recorded from the search before
-# the counting bound and prune: the cuts may only shrink the search tree.
+# the counting bound and prune: the cuts and the descent may only change
+# the work done.
 PINNED_EXACT_WITNESSES = (681, "73415faa4913f6b09c3b19b1026db5d68673c010f6cc2375e8921e868767b842")
+# The same runs descending from the greedy solution, as verify_instance runs
+# them (12162 nodes in total).
+PINNED_EXACT_FROM_GREEDY = (681, "a851c8bd0a36a8d221f65738517771c655a4e3cae1e51943f110e49e38531d3b")
+
+
+def _run_digest(r):
+    return json.dumps([r.optimum, list(r.witness), r.nodes_explored]).encode() + b"\n"
 
 
 def test_exact_matches_pinned_digest():
     full = hashlib.sha256()
     witnesses = hashlib.sha256()
+    from_greedy = hashlib.sha256()
     solved = 0
     for e in default_corpus():
+        g = generate(e.spec)
         try:
-            r = exact_minimum(generate(e.spec), e.mode, e.k)
+            r = exact_minimum(g, e.mode, e.k)
         except KOutOfRangeError:
             continue
         solved += 1
-        full.update(json.dumps([r.optimum, list(r.witness), r.nodes_explored]).encode() + b"\n")
+        full.update(_run_digest(r))
         witnesses.update(json.dumps([r.optimum, list(r.witness)]).encode() + b"\n")
+        greedy = exact_minimum(g, e.mode, e.k, upper=solve(g, e.mode, e.k).chosen)
+        assert greedy.optimum == r.optimum
+        from_greedy.update(_run_digest(greedy))
     assert (solved, full.hexdigest()) == PINNED_EXACT
     assert (solved, witnesses.hexdigest()) == PINNED_EXACT_WITNESSES
+    assert (solved, from_greedy.hexdigest()) == PINNED_EXACT_FROM_GREEDY
 
 
 class _ListSearch:
@@ -265,11 +288,13 @@ def _list_minimum(g, mode, k, **kw):
         return exact_minimum(g, mode, k, **kw)
 
 
-def _unpruned_minimum(g, mode, k, search=_UnprunedListSearch):
+def _unpruned_minimum(g, mode, k, search=_UnprunedListSearch, *, ascending=False):
     """(optimum, witness, nodes_explored) of the oracle before the counting
-    bound: its target loop starts at ceil(n / (max_degree + 1)) for
-    domination, k for k-tuple and 1 for k-domination, and its search, by
-    default, has none of the cuts."""
+    bound, whose loop stops at ceil(n / (max_degree + 1)) for domination, k
+    for k-tuple and 1 for k-domination, and whose search, by default, has
+    none of the cuts.  The loop descends from all n vertices, as
+    exact_minimum's does, or with ascending=True climbs from that bound, as
+    the oracle did before the descent."""
     if mode is Mode.KDOM and k > g.max_degree():
         return g.n, tuple(range(g.n)), 0
     if mode is Mode.DOM:
@@ -279,15 +304,23 @@ def _unpruned_minimum(g, mode, k, search=_UnprunedListSearch):
     else:
         lower = 1
     searcher = search(g, mode, k)
-    for target in range(lower, g.n + 1):
-        witness = searcher.feasible(target)
-        if witness is not None:
-            return len(witness), tuple(sorted(witness)), searcher.nodes
-    raise AssertionError("unreachable: the full vertex set always satisfies the validator")
+    if ascending:
+        for target in range(lower, g.n + 1):
+            witness = searcher.feasible(target)
+            if witness is not None:
+                return len(witness), tuple(sorted(witness)), searcher.nodes
+        raise AssertionError("unreachable: the full vertex set always satisfies the validator")
+    best = list(range(g.n))
+    while len(best) > lower:
+        smaller = searcher.feasible(len(best) - 1)
+        if smaller is None:
+            break
+        best = sorted(smaller)
+    return len(best), tuple(best), searcher.nodes
 
 
-def _start_target(g, mode, k):
-    """The first target size exact_minimum tries, or None if it tries none."""
+def _targets(g, mode, k, **kw):
+    """The target sizes exact_minimum searches, in order."""
     targets = []
     feasible = exact._Search.feasible
 
@@ -296,8 +329,8 @@ def _start_target(g, mode, k):
         return feasible(self, target)
 
     with mock.patch.object(exact._Search, "feasible", recording):
-        exact_minimum(g, mode, k)
-    return targets[0] if targets else None
+        exact_minimum(g, mode, k, **kw)
+    return targets
 
 
 def _outcome(r):
@@ -348,6 +381,9 @@ def test_counting_cuts_keep_optimum_and_witness(n, p, seed):
         optimum, witness, nodes = _unpruned_minimum(g, mode, k)
         assert (r.optimum, r.witness) == (optimum, witness)
         assert r.nodes_explored <= nodes
+        # Without upper, the descent ends at the witness the ascending loop
+        # finds first.
+        assert _unpruned_minimum(g, mode, k, ascending=True)[:2] == (optimum, witness)
 
 
 @settings(deadline=None, max_examples=100)
@@ -368,11 +404,41 @@ def test_each_cut_alone_keeps_optimum_and_witness(n, p, seed):
 
 @settings(deadline=None, max_examples=100)
 @given(graphs(max_n=8))
-def test_start_target_is_a_lower_bound(g):
+def test_descent_ends_one_below_the_optimum(g):
     for mode, k in _admissible(g):
-        start = _start_target(g, mode, k)
-        if start is not None:
-            assert start <= exact_minimum_naive(g, mode, k).optimum
+        optimum = exact_minimum_naive(g, mode, k).optimum
+        lower = -(-g.n * k // (g.max_degree() + self_gain(mode, k, 0)))
+        assert lower <= optimum
+        targets = _targets(g, mode, k)
+        if optimum == lower or is_trivial(g, mode, k):
+            assert optimum - 1 not in targets
+        else:
+            assert targets[-1] == optimum - 1
+        # The descent starts one below all n vertices and only goes down.
+        assert targets == sorted(set(targets), reverse=True)
+        assert targets[:1] in ([], [g.n - 1])
+
+
+@settings(deadline=None, max_examples=100)
+@given(graphs(max_n=9), st.data())
+def test_any_satisfying_upper_gives_the_optimum(g, data):
+    for mode, k in _admissible(g):
+        plain = exact_minimum(g, mode, k)
+        uppers = [solve(g, mode, k).chosen, plain.witness]
+        extra = data.draw(st.sets(st.integers(0, g.n - 1)), label=f"{mode} k={k}")
+        uppers.append([*plain.witness, *extra, *plain.witness])
+        for upper in uppers:
+            r = exact_minimum(g, mode, k, upper=upper)
+            assert r.optimum == plain.optimum == len(r.witness)
+            assert list(r.witness) == sorted(set(r.witness))
+            assert ref_satisfies(g, mode, k, frozenset(r.witness))
+            if len(set(upper)) == plain.optimum:
+                assert r.witness == tuple(sorted(set(upper)))
+                assert r.nodes_explored <= plain.nodes_explored
+        if not is_trivial(g, mode, k):
+            # A minimum set less one vertex is not a solution.
+            with pytest.raises(ValueError, match="does not satisfy"):
+                exact_minimum(g, mode, k, upper=plain.witness[1:])
 
 
 def test_monotonicity_known():

@@ -121,8 +121,17 @@ def test_graph_matches_per_edge_reference(case, one_pass):
         assert Graph(n, edges).m == sum(map(len, expected)) // 2
 
 
+@given(graphs(max_n=12))
+def test_degree_extremes_are_computed_once(g):
+    rows = [len(row) for row in g.adjacency]
+    assert (g._max_degree, g._min_degree) == (None, None)
+    assert (g.max_degree(), g.min_degree()) == (max(rows), min(rows))
+    assert (g._max_degree, g._min_degree) == (max(rows), min(rows))
+    assert (g.max_degree(), g.min_degree()) == (max(rows), min(rows))
+
+
 def test_construction_errors():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^graph needs at least one vertex, got n=0$"):
         Graph(0)
     with pytest.raises(GraphError):
         Graph(-2)

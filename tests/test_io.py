@@ -385,6 +385,22 @@ def test_csv_empty_reports_is_header_only():
     assert text == ",".join(CSV_COLUMNS) + "\n"
 
 
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), st.sampled_from(Mode)
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.fixed_dictionaries({col: _SCALARS for col in CSV_COLUMNS}), max_size=4))
+@example([])
+def test_json_report_matches_indent_2(columns):
+    # The writer frames C-encoded objects; it must render exactly what the
+    # indent=2 encoder does, the empty list included.
+    reports = [RatioReport(**c) for c in columns]
+    expected = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+    assert write_report_json(reports) == expected
+
+
 def test_json_report():
     docs = json.loads(write_report_json(_sample_reports()))
     assert len(docs) == 2
