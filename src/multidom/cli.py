@@ -220,12 +220,11 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
     """Corpus document: a list of {"spec": {...FamilySpec fields...},
     "mode": "dom"|"ktuple"|"kdom", "k": int} objects.
 
-    n, a, b, seed and both k must be ints and p a number (a bool is
-    neither); a spec field may be left out or null, and the generator then
-    reports what its family needs.  A k that no graph admits
-    (solvers.check_multiplicity) is malformed; a k-tuple k above a graph's
-    min_degree + 1 is a skipped entry.  Raises ValueError naming the entry
-    index for a malformed document."""
+    FamilySpec checks the spec's field types, and k must be an int (a bool
+    is not one).  A k that no graph admits (solvers.check_multiplicity) is
+    malformed; a k-tuple k above a graph's min_degree + 1 is a skipped
+    entry.  Raises ValueError naming the entry index for a malformed
+    document."""
     if not isinstance(doc, list):
         raise ValueError(f"corpus document must be a JSON list, got {type(doc).__name__}")
     entries = []
@@ -233,12 +232,8 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
         try:
             spec = FamilySpec(**item["spec"])
             k = item.get("k", 1)
-            for name, value in (("n", spec.n), ("a", spec.a), ("b", spec.b),
-                                ("seed", spec.seed), ("spec k", spec.k), ("k", k)):
-                if type(value) is not int and (value is not None or name == "k"):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-            if spec.p is not None and type(spec.p) not in (int, float):
-                raise ValueError(f"p must be a number, got {spec.p!r}")
+            if type(k) is not int:
+                raise ValueError(f"k must be an integer, got {k!r}")
             mode = Mode(item["mode"])
             check_multiplicity(mode, k)
             entries.append(CorpusEntry(spec, mode, k))

@@ -9,8 +9,8 @@ Two independent implementations so they can cross-check each other:
   there is no such set: only the last search, one below the optimum, has to
   fail.  Each search branches on the most-constrained unsatisfied vertex,
   including or excluding one of its remaining potential coverers, with
-  sound feasibility, counting and packing pruning, a closed form for the
-  last pick, and no exclude branch that cannot satisfy its branch vertex.
+  sound feasibility and counting pruning, a closed form for the last pick,
+  and no exclude branch that cannot satisfy its branch vertex.
   Its vertex sets are Python-int bitsets: each vertex's providers, the
   vertices still undecided on the current branch, and the unsatisfied
   vertices, which are kept in step with the arrival counts as vertices are
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph
-from .solvers import Mode, check_k, is_trivial, satisfies, self_gain
+from .solvers import Mode, check_k, satisfies, self_gain
 
 DEFAULT_MAX_N = 24
 NAIVE_MAX_N = 8
@@ -100,10 +100,13 @@ def exact_minimum(
     self-gain to itself.  So no set below ceil(n * k / (max_degree +
     self_gain)) is searched for, and the search prunes a branch whose open
     deficit, the sum of k - count over the unsatisfied vertices, exceeds its
-    remaining budget times max_degree + self_gain.  Three more cuts are
-    described in _Search._dfs: a packing bound, a closed form for the last
-    pick, and skipping an exclude branch that cannot satisfy its branch
-    vertex.
+    remaining budget times max_degree + self_gain.  Two more cuts are
+    described in _Search._dfs: a closed form for the last pick, and skipping
+    an exclude branch that cannot satisfy its branch vertex.
+
+    k-domination with k > max_degree (solvers.is_trivial) needs no case of
+    its own: neighbors give a vertex fewer than k arrivals, so every vertex
+    must be chosen, and the search refutes n - 1 in about n nodes.
 
     Why the witness does not depend on the path down: the order in which
     the search visits branches does not depend on the target, and every cut
@@ -116,20 +119,10 @@ def exact_minimum(
     unless upper is itself minimum, and then it is upper.
 
     Raises ValueError for an upper that does not satisfy mode and k on g,
-    checked after the size cap and k, and not read on an instance that
-    solvers.is_trivial settles.
+    checked after the size cap and k.
     """
     _check_instance(g, mode, k, max_n)
     start = time.perf_counter()
-    if is_trivial(g, mode, k):
-        return ExactResult(
-            mode=mode,
-            k=k,
-            optimum=g.n,
-            witness=tuple(range(g.n)),
-            nodes_explored=0,
-            time_s=time.perf_counter() - start,
-        )
     if upper is None:
         best = list(range(g.n))
     else:
@@ -206,7 +199,7 @@ class _Search:
 
         undecided: the vertices neither chosen nor excluded on this branch.
         unsat: the vertices with count < k.  A budget of 0 needs no case of
-        its own: the packing prune below cuts it.
+        its own: the counting prune below cuts it.
         """
         self.nodes += 1
         if not unsat:
@@ -236,16 +229,10 @@ class _Search:
             if not settle:
                 return None
             return [*self.chosen, (settle & -settle).bit_length() - 1]
-        # Feasibility and packing prunes, and pick the most-constrained
-        # vertex: the first, in id order, with the fewest remaining ways to be
-        # satisfied.
+        # Feasibility prune, and pick the most-constrained vertex: the first,
+        # in id order, with the fewest remaining ways to be satisfied.
         fewest = self.g.n + 1
         open_deficit = 0
-        # packed: the summed need of the unsatisfied vertices, in id order,
-        # whose avail is disjoint from taken, the union of the earlier ones'.
-        # No pick serves two of them, so more than budget is infeasible.
-        packed = 0
-        taken = 0
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -256,21 +243,12 @@ class _Search:
             open_deficit += deficit
             # An undecided v under k-domination can settle itself with one
             # pick; every other v needs deficit more picks among avail.
-            if kdom and undecided & bit:
-                need = 1
-            elif n_avail < deficit or deficit > budget:
+            if not (kdom and undecided & bit) and (n_avail < deficit or deficit > budget):
                 return None
-            else:
-                need = deficit
-            if not avail & taken:
-                packed += need
-                if packed > budget:
-                    return None
-                taken |= avail
             if n_avail < fewest:
                 fewest, branch_bit, branch_avail, branch_deficit = n_avail, bit, avail, deficit
         # Counting prune: budget more picks close at most budget * pick_gain
-        # of the open deficit.
+        # of the open deficit.  It also cuts a budget of 0.
         if open_deficit > budget * self.pick_gain:
             return None
         # Branch on the lowest id among the branch vertex's undecided

@@ -104,6 +104,10 @@ class FamilySpec:
     complete_bipartite takes a and b, erdos_renyi takes n, p and seed,
     gap_witness takes k and yields the star with 3k leaves whose center has
     the strictly largest closed neighborhood.
+
+    n, a, b, seed and k must be ints and p a number (a bool is neither), or
+    None; generate then reports what the family needs.  Raises ValueError
+    otherwise.
     """
 
     family: str
@@ -113,6 +117,14 @@ class FamilySpec:
     p: float | None = None
     seed: int | None = None
     k: int | None = None
+
+    def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("a", self.a), ("b", self.b),
+                            ("seed", self.seed), ("spec k", self.k)):
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.p is not None and type(self.p) not in (int, float):
+            raise ValueError(f"p must be a number, got {self.p!r}")
 
     def instance_id(self) -> str:
         """Canonical id string, stable across runs."""

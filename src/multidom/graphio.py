@@ -152,7 +152,8 @@ def _parse_dimacs_lines(text: str) -> Graph:
     n = None
     declared_m = None
     edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -183,16 +184,20 @@ def _parse_dimacs_lines(text: str) -> Graph:
         else:
             raise FormatError(line_no, f"unrecognized line {line!r}")
     if n is None:
-        raise FormatError(len(text.splitlines()) + 1, "missing problem line")
+        raise FormatError(len(lines) + 1, "missing problem line")
     if declared_m != len(edges):
         raise FormatError(
-            len(text.splitlines()) + 1,
-            f"header declares {declared_m} edges but {len(edges)} e-lines found",
+            len(lines) + 1, f"header declares {declared_m} edges but {len(edges)} e-lines found"
         )
+    return _graph(n, edges, lines)
+
+
+def _graph(n: int, edges: list[tuple[int, int]], lines: list[str]) -> Graph:
+    """Graph(n, edges), with a GraphError reported at the line past lines."""
     try:
         return Graph(n, edges)
     except GraphError as exc:
-        raise FormatError(len(text.splitlines()) + 1, str(exc)) from exc
+        raise FormatError(len(lines) + 1, str(exc)) from exc
 
 
 def write_dimacs(g: Graph) -> str:
@@ -203,7 +208,8 @@ def parse_edge_list(text: str) -> Graph:
     n = None
     edges: list[tuple[int, int]] = []
     max_id = -1
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -235,10 +241,7 @@ def parse_edge_list(text: str) -> Graph:
         if max_id < 0:
             raise FormatError(1, "cannot infer vertex count from an empty edge list")
         n = max_id + 1
-    try:
-        return Graph(n, edges)
-    except GraphError as exc:
-        raise FormatError(len(text.splitlines()) + 1, str(exc)) from exc
+    return _graph(n, edges, lines)
 
 
 def write_edge_list(g: Graph) -> str:

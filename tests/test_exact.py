@@ -20,7 +20,6 @@ from multidom import (
     solve,
 )
 from multidom import exact
-from multidom.solvers import is_trivial
 # Witnesses are checked against the frozenset reference, not satisfies: the
 # naive oracle itself calls satisfies.
 from conftest import closed_neighborhood, graphs, ref_satisfies, verify_monotonicity
@@ -63,12 +62,14 @@ def test_naive_witness_is_lexicographically_first():
     assert result.witness == (0, 3)
 
 
-def test_kdom_k_above_max_degree_short_circuits():
+def test_kdom_k_above_max_degree_chooses_every_vertex():
+    # No vertex can collect k arrivals from its neighbors alone, so the
+    # search, with no case of its own, must end at all of V.
     g = cycle(8)
-    result = exact_minimum(g, Mode.KDOM, 3)
-    assert result.optimum == 8
-    assert result.witness == tuple(range(8))
-    assert result.nodes_explored == 0
+    for upper in (None, range(8)):
+        result = exact_minimum(g, Mode.KDOM, 3, upper=upper)
+        assert result.optimum == 8
+        assert result.witness == tuple(range(8))
     # naive agrees the hard way
     assert exact_minimum_naive(cycle(6), Mode.KDOM, 3).optimum == 6
 
@@ -107,18 +108,19 @@ def test_nodes_explored_reproducible():
 
 
 # One sha256 over the optimum, the witness and nodes_explored of every
-# solvable default-corpus run with no upper (23999 nodes in total), recorded
-# when the target loop began to descend from all n vertices; the ascending
-# loop had searched 20097 nodes, 43088 before the one-pick, dead-exclude and
-# packing cuts and 72651 before the counting bound and prune.
-PINNED_EXACT = (681, "2e746d845732ff1d19fb4a99cbbbac17434e321e8b910423bf10fc3e94478299")
+# solvable default-corpus run with no upper (26161 nodes in total), recorded
+# when the packing bound and the trivial k-domination shortcut were dropped
+# (23999 nodes with both); the ascending loop had searched 20097 nodes,
+# 43088 before the one-pick, dead-exclude and packing cuts and 72651 before
+# the counting bound and prune.
+PINNED_EXACT = (681, "4b81487d50a47e4f6e812888e9c08210a8fa8374e89168d68ff932e0a788238c")
 # The same runs' optimum and witness alone, recorded from the search before
 # the counting bound and prune: the cuts and the descent may only change
 # the work done.
 PINNED_EXACT_WITNESSES = (681, "73415faa4913f6b09c3b19b1026db5d68673c010f6cc2375e8921e868767b842")
 # The same runs descending from the greedy solution, as verify_instance runs
-# them (12162 nodes in total).
-PINNED_EXACT_FROM_GREEDY = (681, "a851c8bd0a36a8d221f65738517771c655a4e3cae1e51943f110e49e38531d3b")
+# them (14139 nodes in total, 12162 with the packing bound and the shortcut).
+PINNED_EXACT_FROM_GREEDY = (681, "f8bd63e8a97821c134f025a6c86c29c64e3df12a6988263aaf13c14f06756d10")
 
 
 def _run_digest(r):
@@ -154,15 +156,13 @@ class _ListSearch:
 
     State is shared across target sizes; nodes accumulates over the whole
     exact_minimum call.  Each flag turns one cut on: counting_prune the
-    open-deficit prune, one_pick the closed-form last pick, dead_exclude the
-    skipped exclude child that cannot satisfy its branch vertex, and
-    packing_prune the bound by vertices with disjoint provider sets.
+    open-deficit prune, one_pick the closed-form last pick, and dead_exclude
+    the skipped exclude child that cannot satisfy its branch vertex.
     """
 
     counting_prune = True
     one_pick = True
     dead_exclude = True
-    packing_prune = True
 
     def __init__(self, g: Graph, mode: Mode, k: int):
         self.g = g
@@ -211,8 +211,6 @@ class _ListSearch:
         # with the fewest remaining ways to be satisfied.
         branch_v = -1
         branch_avail: list[int] = []
-        packed = 0
-        taken: set[int] = set()
         for v in unsat:
             avail = [u for u in self.providers[v] if not self.decided[u]]
             deficit = k - self.count[v]
@@ -221,13 +219,8 @@ class _ListSearch:
             settles_itself = self.kdom and not self.decided[v]
             if not settles_itself and (len(avail) < deficit or deficit > budget):
                 return None
-            if taken.isdisjoint(avail):
-                taken.update(avail)
-                packed += 1 if settles_itself else deficit
             if branch_v < 0 or len(avail) < len(branch_avail):
                 branch_v, branch_avail = v, avail
-        if self.packing_prune and packed > budget:
-            return None
         open_deficit = sum(k - self.count[v] for v in unsat)
         if self.counting_prune and open_deficit > budget * self.pick_gain:
             return None
@@ -266,19 +259,18 @@ class _ListSearch:
 
 
 class _UnprunedListSearch(_ListSearch):
-    """The search as it was before the counting prune and the three later
+    """The search as it was before the counting prune and the two later
     cuts."""
 
     counting_prune = False
     one_pick = False
     dead_exclude = False
-    packing_prune = False
 
 
 # Each later cut alone on the unpruned search.
 _ONE_CUT_SEARCHES = [
     type(f"_Only_{flag}", (_UnprunedListSearch,), {flag: True})
-    for flag in ("one_pick", "dead_exclude", "packing_prune")
+    for flag in ("one_pick", "dead_exclude")
 ]
 
 
@@ -295,8 +287,6 @@ def _unpruned_minimum(g, mode, k, search=_UnprunedListSearch, *, ascending=False
     none of the cuts.  The loop descends from all n vertices, as
     exact_minimum's does, or with ascending=True climbs from that bound, as
     the oracle did before the descent."""
-    if mode is Mode.KDOM and k > g.max_degree():
-        return g.n, tuple(range(g.n)), 0
     if mode is Mode.DOM:
         lower = -(-g.n // (g.max_degree() + 1))
     elif mode is Mode.KTUPLE:
@@ -410,7 +400,7 @@ def test_descent_ends_one_below_the_optimum(g):
         lower = -(-g.n * k // (g.max_degree() + self_gain(mode, k, 0)))
         assert lower <= optimum
         targets = _targets(g, mode, k)
-        if optimum == lower or is_trivial(g, mode, k):
+        if optimum == lower:
             assert optimum - 1 not in targets
         else:
             assert targets[-1] == optimum - 1
@@ -435,10 +425,9 @@ def test_any_satisfying_upper_gives_the_optimum(g, data):
             if len(set(upper)) == plain.optimum:
                 assert r.witness == tuple(sorted(set(upper)))
                 assert r.nodes_explored <= plain.nodes_explored
-        if not is_trivial(g, mode, k):
-            # A minimum set less one vertex is not a solution.
-            with pytest.raises(ValueError, match="does not satisfy"):
-                exact_minimum(g, mode, k, upper=plain.witness[1:])
+        # A minimum set less one vertex is not a solution.
+        with pytest.raises(ValueError, match="does not satisfy"):
+            exact_minimum(g, mode, k, upper=plain.witness[1:])
 
 
 def test_monotonicity_known():

@@ -123,6 +123,32 @@ def test_family_spec_validation():
 
 
 @pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"family": "path", "n": 2.5}, "n must be an integer, got 2.5"),
+        ({"family": "path", "n": True}, "n must be an integer, got True"),
+        ({"family": "complete_bipartite", "a": 2, "b": "3"}, "b must be an integer, got '3'"),
+        ({"family": "erdos_renyi", "n": 8, "p": 0.5, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"family": "erdos_renyi", "n": 8, "p": "0.5", "seed": 1}, "p must be a number, got '0.5'"),
+        ({"family": "erdos_renyi", "n": 8, "p": False, "seed": 1}, "p must be a number, got False"),
+        ({"family": "gap_witness", "k": 2.0}, "spec k must be an integer, got 2.0"),
+    ],
+)
+def test_family_spec_rejects_field_types(fields, message):
+    # A ValueError at construction, before generate: never a TypeError from
+    # range() or a graph built from a bool.
+    with pytest.raises(ValueError) as exc:
+        FamilySpec(**fields)
+    assert str(exc.value) == message
+
+
+def test_family_spec_accepts_int_p_and_missing_fields():
+    assert generate(FamilySpec("erdos_renyi", n=4, p=1, seed=0)).m == 6
+    with pytest.raises(ValueError, match="path needs n >= 1, got None"):
+        generate(FamilySpec("path"))
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         FamilySpec(family="path", n=MAX_VERTICES + 1),
