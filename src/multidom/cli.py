@@ -12,12 +12,9 @@ failed, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
-from fractions import Fraction
-from typing import Iterator
 
 from .exact import DEFAULT_MAX_N, exact_minimum
 from .generators import FAMILIES, FamilySpec, generate
@@ -25,11 +22,11 @@ from .graph import Graph
 from .graphio import (
     FORMATS,
     parse_graph,
-    report_to_dict,
-    solution_to_dict,
     write_graph,
     write_report_csv,
     write_report_json,
+    write_trace,
+    write_verify_json,
 )
 from .harness import (
     CorpusEntry,
@@ -122,8 +119,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     sol = solve(g, Mode(args.mode), args.k)
     if args.trace:
         with open(args.trace, "w") as fh:
-            json.dump(solution_to_dict(sol), fh, indent=2)
-            fh.write("\n")
+            fh.write(write_trace(sol))
     print(
         json.dumps(
             {
@@ -151,20 +147,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     check_multiplicity(Mode(args.mode), args.k)
     g = _read_graph(args)
     report = verify_instance(g, Mode(args.mode), args.k, max_n=args.max_n)
-    # The report's columns without its times, so the output of equal runs
-    # is byte-identical; instance_id prints as instance.
-    doc = {
-        "instance" if col == "instance_id" else col: value
-        for col, value in report_to_dict(report).items()
-        if not col.endswith("_time_s")
-    }
-    if report.skip_reason is None:
-        with _any_int_digits():
-            doc["ledger"] = [
-                {"vertex": w, "lhs": _frac(lhs), "bound": _frac(bound)}
-                for w, (lhs, bound) in enumerate(report.ledger_rows)
-            ]
-    print(json.dumps(doc, indent=2))
+    sys.stdout.write(write_verify_json(report))
     passed = (
         report.skip_reason is None
         and report.ledger_checks_passed is True
@@ -242,28 +225,6 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"corpus entry {i}: {exc}") from None
     return entries
-
-
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-@contextlib.contextmanager
-def _any_int_digits() -> Iterator[None]:
-    """Lift the interpreter's limit on int-to-decimal digits while inside, so
-    that a bound such as H(10500), whose denominator has more than 4300
-    digits, renders; the old limit comes back on exit.  Python releases
-    without sys.set_int_max_str_digits have no limit to lift."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        yield
-        return
-    old = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 if __name__ == "__main__":

@@ -40,15 +40,19 @@ __all__ = [
     "write_edge_list",
     "solution_to_dict",
     "solution_from_dict",
+    "write_trace",
     "report_to_dict",
     "write_report_csv",
     "write_report_json",
+    "write_verify_json",
 ]
 
+import contextlib
 import csv
 import io
 import json
 import re
+import sys
 from dataclasses import fields
 from typing import Iterable, Iterator
 
@@ -276,24 +280,96 @@ def solution_to_dict(sol: Solution) -> dict:
 
 
 def solution_from_dict(doc: dict, fingerprint: tuple[int, int, str]) -> Solution:
+    """The Solution of a trace document as solution_to_dict writes it.
+
+    Every integer field must hold an int (a bool is not one) and every
+    tokens_placed key the decimal text of an int, str(int(key)) == key, so
+    that no two keys name one vertex.  Anything else raises ValueError naming
+    the iteration and the field."""
     return Solution(
         mode=Mode(doc["mode"]),
-        k=doc["k"],
-        chosen=tuple(doc["chosen"]),
-        iterations=tuple(
-            IterationRecord(
-                index=rec["index"],
-                vertex=rec["vertex"],
-                score=rec["score"],
-                newly_covered=tuple(rec["newly_covered"]),
-                tokens_placed={int(v): c for v, c in rec["tokens_placed"].items()},
-                covered_after=rec["covered_after"],
-            )
-            for rec in doc["iterations"]
-        ),
+        k=_trace_int(doc["k"], "k"),
+        chosen=_trace_ints(doc["chosen"], "chosen"),
+        iterations=tuple(_record_from_dict(i, rec) for i, rec in enumerate(doc["iterations"], 1)),
         graph_fingerprint=fingerprint,
         trivial=doc["trivial"],
     )
+
+
+def _record_from_dict(i: int, rec: dict) -> IterationRecord:
+    at = f"iteration {i}: "
+    tokens = {}
+    for key, count in rec["tokens_placed"].items():
+        try:
+            v = int(key)
+        except (TypeError, ValueError):
+            v = None
+        if v is None or str(v) != key:
+            raise ValueError(f"{at}tokens_placed key {key!r} is not the decimal text of an integer")
+        tokens[v] = _trace_int(count, f"{at}tokens_placed[{key!r}]")
+    return IterationRecord(
+        index=_trace_int(rec["index"], at + "index"),
+        vertex=_trace_int(rec["vertex"], at + "vertex"),
+        score=_trace_int(rec["score"], at + "score"),
+        newly_covered=_trace_ints(rec["newly_covered"], at + "newly_covered"),
+        tokens_placed=tokens,
+        covered_after=_trace_int(rec["covered_after"], at + "covered_after"),
+    )
+
+
+def _trace_int(value: object, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _trace_ints(values: list, field: str) -> tuple[int, ...]:
+    for value in values:
+        _trace_int(value, field + " entry")
+    return tuple(values)
+
+
+def write_trace(sol: Solution) -> str:
+    """json.dumps(solution_to_dict(sol), indent=2) + "\n", byte for byte.
+
+    indent= selects json's pure-Python encoder, which takes most of a long
+    trace's write.  The flat head goes through the C encoder (_fields_text);
+    the rest holds only ints, whose JSON text is str(), and is formatted
+    here."""
+    doc = solution_to_dict(sol)
+    # The two nested fields are the last two, so what is left is the head.
+    iterations = doc.pop("iterations")
+    chosen = doc.pop("chosen")
+    records = ",\n    ".join([
+        f'{{\n      "index": {rec["index"]},\n      "vertex": {rec["vertex"]},'
+        f'\n      "score": {rec["score"]},'
+        f'\n      "newly_covered": {_int_list(rec["newly_covered"], 6)},'
+        f'\n      "tokens_placed": {_int_map(rec["tokens_placed"])},'
+        f'\n      "covered_after": {rec["covered_after"]}\n    }}'
+        for rec in iterations
+    ])
+    return (
+        "{\n  " + _fields_text(doc, 2)
+        + ',\n  "chosen": ' + _int_list(chosen, 2)
+        + ',\n  "iterations": ' + (f"[\n    {records}\n  ]" if records else "[]")
+        + "\n}\n"
+    )
+
+
+def _int_list(values: list[int], indent: int) -> str:
+    """A list of ints as indent=2 renders it as a field indent spaces deep."""
+    if not values:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(map(str, values)) + "\n" + " " * indent + "]"
+
+
+def _int_map(tokens: dict[str, int]) -> str:
+    """An iteration record's tokens_placed as indent=2 renders it."""
+    if not tokens:
+        return "{}"
+    items = ",\n        ".join([f'"{v}": {c}' for v, c in tokens.items()])
+    return "{\n        " + items + "\n      }"
 
 
 def report_to_dict(report: RatioReport) -> dict:
@@ -313,17 +389,66 @@ def write_report_csv(reports: Iterable[RatioReport]) -> str:
 
 
 def write_report_json(reports: Iterable[RatioReport]) -> str:
-    """json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n".
-
-    indent= selects json's pure-Python encoder.  Every column holds a
-    scalar, so each report is one flat object, and the C encoder renders it
-    with the separator that indent=2 puts between the fields of an object
-    in a list; only the list's frame is written here.
-    """
-    items = [json.dumps(report_to_dict(r), separators=(",\n    ", ": "))[1:-1] for r in reports]
+    """json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n",
+    byte for byte: each report is one flat object, rendered by _fields_text,
+    and only the list's frame is written here."""
+    items = [_fields_text(report_to_dict(r), 4) for r in reports]
     if not items:
         return "[]\n"
     return "[\n  {\n    " + "\n  },\n  {\n    ".join(items) + "\n  }\n]\n"
+
+
+def write_verify_json(report: RatioReport) -> str:
+    """The document `multidom verify` prints, as json.dumps(doc, indent=2) +
+    "\n" renders it, byte for byte.
+
+    doc holds the report's columns without the *_time_s ones, so the output
+    of equal runs is byte-identical, with instance_id written as instance.
+    Unless the report is a skip, a "ledger" list follows with one
+    {"vertex", "lhs", "bound"} row per vertex, each fraction as "p/q" in
+    full, however many digits it has."""
+    doc = {
+        "instance" if col == "instance_id" else col: value
+        for col, value in report_to_dict(report).items()
+        if not col.endswith("_time_s")
+    }
+    text = "{\n  " + _fields_text(doc, 2)
+    if report.skip_reason is None:
+        with _any_int_digits():
+            rows = ",\n    ".join([
+                f'{{\n      "vertex": {w},'
+                f'\n      "lhs": "{lhs.numerator}/{lhs.denominator}",'
+                f'\n      "bound": "{bound.numerator}/{bound.denominator}"\n    }}'
+                for w, (lhs, bound) in enumerate(report.ledger_rows)
+            ])
+        text += ',\n  "ledger": ' + (f"[\n    {rows}\n  ]" if rows else "[]")
+    return text + "\n}\n"
+
+
+def _fields_text(doc: dict, indent: int) -> str:
+    """The fields of doc, whose values are all scalars, as indent=2 renders
+    them in an object whose fields sit indent spaces deep, without the
+    braces and the first line break.  indent= selects json's pure-Python
+    encoder; the C encoder with indent=2's separators gives the same text."""
+    return json.dumps(doc, separators=(",\n" + " " * indent, ": "))[1:-1]
+
+
+@contextlib.contextmanager
+def _any_int_digits() -> Iterator[None]:
+    """Lift the interpreter's limit on int-to-decimal digits while inside, so
+    that a bound such as H(10500), whose denominator has more than 4300
+    digits, renders; the old limit comes back on exit.  Python releases
+    without sys.set_int_max_str_digits have no limit to lift."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    old = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _cell(value: object) -> str:

@@ -19,7 +19,8 @@ from multidom import (
     solve,
     write_dimacs,
 )
-from multidom.cli import _any_int_digits, main
+from multidom.cli import main
+from multidom.graphio import _any_int_digits
 
 from conftest import harmonic
 
@@ -70,6 +71,7 @@ def test_solve(c6_path, capsys, tmp_path):
     trace_text = trace.read_text()
     assert trace_text.startswith('{\n  "mode": "kdom",\n  "k": 2,\n')
     trace_doc = json.loads(trace_text)
+    assert trace_text == json.dumps(trace_doc, indent=2) + "\n"
     assert list(trace_doc) == [
         "mode", "k", "n", "m", "graph_digest", "trivial", "chosen", "iterations"
     ]
@@ -112,6 +114,7 @@ def test_verify(c6_path, capsys):
         out = capsys.readouterr().out
         assert f'\n  "mode": "{mode.value}",\n' in out
         doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
         assert list(doc) == [
             "instance", "family", "seed", "n", "m", "max_degree", "min_degree", "mode", "k",
             "greedy_size", "exact_size", "ratio", "bound", "bound_satisfied",
@@ -143,8 +146,11 @@ def test_verify_skip_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "star.dimacs"
     path.write_text(write_dimacs(star))
     assert main(["verify", str(path), "--mode", "ktuple", "--k", "3"]) == 1
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
     assert doc["skip_reason"] is not None
+    assert "ledger" not in doc
 
 
 def test_verify_renders_bounds_of_any_size(tmp_path, capsys):
@@ -156,7 +162,10 @@ def test_verify_renders_bounds_of_any_size(tmp_path, capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     assert main(["verify", str(path), "--mode", "dom"]) == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-    centre = json.loads(capsys.readouterr().out)["ledger"][0]
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    centre = doc["ledger"][0]
     h = harmonic(10500)
     with _any_int_digits():
         assert centre == {"vertex": 0, "lhs": "1/1", "bound": f"{h.numerator}/{h.denominator}"}

@@ -29,6 +29,7 @@ from multidom import (
     write_graph,
     write_report_csv,
     write_report_json,
+    write_trace,
 )
 from multidom import graphio
 from conftest import edges, graphs, ref_write_dimacs, ref_write_edge_list
@@ -320,6 +321,83 @@ def test_solution_dict_round_trip():
     assert restored == sol
     assert doc["graph_digest"] == g.fingerprint()[2]
     assert doc["mode"] == "kdom"
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(max_n=12), st.sampled_from(Mode), st.integers(1, 3))
+@example(generate(FamilySpec("cycle", n=12)), Mode.KDOM, 2)
+def test_trace_matches_indent_2(g, mode, k):
+    # The writer formats the nested fields itself; it must render exactly
+    # what the indent=2 encoder does.
+    if mode is Mode.DOM:
+        k = 1
+    elif mode is Mode.KTUPLE:
+        k = min(k, g.min_degree() + 1)
+    sol = solve(g, mode, k)
+    assert write_trace(sol) == json.dumps(solution_to_dict(sol), indent=2) + "\n"
+
+
+def test_trace_lists_tokens_in_vertex_order():
+    # A k-domination record lists tokens_placed by vertex number: not chosen
+    # vertex first, and 9 before 10.
+    sol = solve(generate(FamilySpec("cycle", n=12)), Mode.KDOM, 2)
+    keys = [list(rec.tokens_placed) for rec in sol.iterations]
+    assert any(rec.vertex != min(rec.tokens_placed) for rec in sol.iterations)
+    assert [9, 10] in [sorted(ks)[i:i + 2] for ks in keys for i in range(len(ks))]
+    written = json.loads(write_trace(sol))["iterations"]
+    assert [list(rec["tokens_placed"]) for rec in written] == [
+        [str(v) for v in sorted(ks)] for ks in keys
+    ]
+
+
+def _c6_kdom_trace():
+    g = generate(FamilySpec("cycle", n=6))
+    doc = json.loads(write_trace(solve(g, Mode.KDOM, 2)))
+    assert doc["iterations"][0]["vertex"] == 0 and "0" in doc["iterations"][0]["tokens_placed"]
+    return g, doc
+
+
+@pytest.mark.parametrize("key", ["+0", " 0", "00", "0 "])
+def test_solution_from_dict_rejects_token_keys_that_alias_a_vertex(key):
+    # int() reads each of these as vertex 0; only "0" is its decimal text.
+    g, doc = _c6_kdom_trace()
+    tokens = doc["iterations"][0]["tokens_placed"]
+    tokens[key] = tokens.pop("0")
+    with pytest.raises(ValueError, match=re.escape(f"iteration 1: tokens_placed key {key!r}")):
+        solution_from_dict(doc, g.fingerprint())
+
+
+@pytest.mark.parametrize("vertex", [0.0, "0"])
+def test_solution_from_dict_rejects_a_vertex_that_is_not_an_int(vertex):
+    g, doc = _c6_kdom_trace()
+    doc["iterations"][1]["vertex"] = vertex
+    message = f"iteration 2: vertex must be an integer, got {vertex!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solution_from_dict(doc, g.fingerprint())
+
+
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        (("iterations", 0, "vertex"), "iteration 1: vertex"),
+        (("k",), "k"),
+        (("chosen", 0), "chosen entry"),
+        (("iterations", 2, "index"), "iteration 3: index"),
+        (("iterations", 0, "score"), "iteration 1: score"),
+        (("iterations", 0, "newly_covered", 0), "iteration 1: newly_covered entry"),
+        (("iterations", 0, "tokens_placed", "1"), "iteration 1: tokens_placed['1']"),
+        (("iterations", 0, "covered_after"), "iteration 1: covered_after"),
+    ],
+)
+def test_solution_from_dict_rejects_bools_in_integer_fields(path, message):
+    # json.loads gives False for false, and False == 0: it would read as vertex 0.
+    g, doc = _c6_kdom_trace()
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = False
+    with pytest.raises(ValueError, match=re.escape(f"{message} must be an integer, got False")):
+        solution_from_dict(doc, g.fingerprint())
 
 
 def test_mode_renders_as_its_value():

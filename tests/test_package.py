@@ -25,7 +25,7 @@ def _top_level_names(module):
 def test_package_exports_exactly_the_module_interfaces():
     modules = [importlib.import_module(f"multidom.{name}") for name in MODULES]
     assert multidom.__all__ == [name for m in modules for name in m.__all__]
-    assert len(set(multidom.__all__)) == len(multidom.__all__) == 56
+    assert len(set(multidom.__all__)) == len(multidom.__all__) == 58
     for module in modules:
         defined = _top_level_names(module)
         for name in module.__all__:
