@@ -6,12 +6,13 @@ Two text formats:
   `e <u> <v>` lines with 1-based endpoints.  The canonical layout that
   write_dimacs emits (the header, then only `e` lines, single spaces, ASCII
   digits without leading zeros, every line ending in `\n`) is read in bulk:
-  each chunk of about 8 KB of whole lines is checked by one regex match, and
-  its ids are read by one C-level scan (json.loads of the chunk with its
-  `e` tags and spaces turned into commas) into one flat list of 0-based
-  ids, which goes to Graph()'s bulk builder as pairs.  Any other layout, and
-  any canonical-looking input that fails, goes to the line-by-line reader,
-  which gives the same graph and is the only source of error messages.
+  each chunk of about 8 KB of whole lines is checked by three C-level
+  string tests (_canonical_ends), and its ids are read by one C-level scan
+  (json.loads of the chunk with its `e` tags and spaces turned into commas)
+  into one flat list of 0-based ids, which goes to Graph()'s bulk builder
+  as pairs.  Any other layout, and any canonical-looking input that fails,
+  goes to the line-by-line reader, which gives the same graph and is the
+  only source of error messages.
 * edgelist: `#` comment lines and `u v` pairs with 0-based endpoints.  The
   writer emits a leading `# n <n>` directive so isolated trailing vertices
   survive a round trip; the parser honors the directive, rejects a second
@@ -54,7 +55,7 @@ import json
 import re
 import sys
 from dataclasses import fields
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .graph import Graph, GraphError, check_vertex_count
 from .harness import RatioReport
@@ -93,9 +94,8 @@ def write_graph(g: Graph, fmt: str) -> str:
 # The canonical dimacs layout.  Endpoints are checked by Graph() and the
 # e-line count at the end, not here.
 _CANONICAL_HEADER = re.compile(r"p edge ([1-9][0-9]*) (0|[1-9][0-9]*)\n")
-_CANONICAL_EDGES = re.compile(r"(?:e [1-9][0-9]* [1-9][0-9]*\n)*")
-# Characters per bulk chunk.  The regex keeps backtracking state for every
-# line it matches, so a bounded chunk bounds that state.
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+# Characters per bulk chunk, which bounds how many ids are alive at once.
 _CHUNK = 1 << 13
 
 
@@ -121,17 +121,32 @@ def parse_dimacs(text: str) -> Graph:
 def _canonical_ends(text: str, pos: int, n: int, m: int) -> list[int]:
     """The 0-based endpoints u1, v1, u2, v2, ... of the canonical body
     text[pos:], read one chunk of whole lines at a time.  Raise _NotCanonical
-    on a chunk outside the layout or an e-line count other than m."""
+    on a chunk outside the layout or an e-line count other than m.
+
+    A chunk of whole lines is `e <digits> <digits>\n` repeated when it
+    starts with "e ", every other line also starts with "e " (one "\ne "
+    per line break but the last), and deleting its digits leaves "e  \n"
+    once per line.  json.loads then rejects an empty id or a leading zero,
+    and an id of 0 (vertex -1) or past n fails in Graph() or the id table.
+    The line-start tests keep out a line such as `5e3 3 4`: after a line
+    `e 1 ` it would make the JSON text "[1,\n5e3,3,4]", with a float id."""
+    if not text.endswith("\n"):  # digits after the last line break pass the tests
+        raise _NotCanonical
     ids = list(range(-1, n))  # ids[u] == u - 1, one int object per vertex
     ends: list[int] = []
     size = len(text)
     while pos < size:
         end = text.find("\n", pos + _CHUNK) + 1 or size
         chunk = text[pos:end]
-        if _CANONICAL_EDGES.fullmatch(chunk) is None:
+        lines = chunk.count("\n")
+        if not (
+            chunk.startswith("e ")
+            and chunk.count("\ne ") == lines - 1
+            and chunk.translate(_NO_DIGITS) == "e  \n" * lines
+        ):
             raise _NotCanonical
-        # "e 1 2\ne 3 4\n" -> "[1,2,3,4]": the regex admitted only digits,
-        # so one C-level scan reads every id of the chunk.
+        # "e 1 2\ne 3 4\n" -> "[1,2,3,4]": the checks admitted only digits
+        # as ids, so one C-level scan reads every id of the chunk.
         ids_text = chunk[2:-1].replace("\ne ", ",").replace(" ", ",")
         ends += map(ids.__getitem__, json.loads("[" + ids_text + "]"))
         pos = end
@@ -282,24 +297,29 @@ def solution_to_dict(sol: Solution) -> dict:
 def solution_from_dict(doc: dict, fingerprint: tuple[int, int, str]) -> Solution:
     """The Solution of a trace document as solution_to_dict writes it.
 
-    Every integer field must hold an int (a bool is not one) and every
-    tokens_placed key the decimal text of an int, str(int(key)) == key, so
-    that no two keys name one vertex.  Anything else raises ValueError naming
-    the iteration and the field."""
+    Every field must be present with its JSON type: an int (a bool is not
+    one) in every integer field, a bool in trivial, lists and objects where
+    solution_to_dict writes them, and every tokens_placed key the decimal
+    text of an int, str(int(key)) == key, so that no two keys name one
+    vertex.  Anything else raises ValueError naming the iteration and the
+    field."""
+    iterations = _trace_value(doc, "iterations", list)
     return Solution(
-        mode=Mode(doc["mode"]),
-        k=_trace_int(doc["k"], "k"),
-        chosen=_trace_ints(doc["chosen"], "chosen"),
-        iterations=tuple(_record_from_dict(i, rec) for i, rec in enumerate(doc["iterations"], 1)),
+        mode=Mode(_trace_value(doc, "mode", str)),
+        k=_trace_value(doc, "k", int),
+        chosen=_trace_ints(_trace_value(doc, "chosen", list), "chosen"),
+        iterations=tuple(_record_from_dict(i, rec) for i, rec in enumerate(iterations, 1)),
         graph_fingerprint=fingerprint,
-        trivial=doc["trivial"],
+        trivial=_trace_value(doc, "trivial", bool),
     )
 
 
-def _record_from_dict(i: int, rec: dict) -> IterationRecord:
+def _record_from_dict(i: int, rec: object) -> IterationRecord:
     at = f"iteration {i}: "
+    if type(rec) is not dict:
+        raise ValueError(f"iteration {i} must be an object, got {rec!r}")
     tokens = {}
-    for key, count in rec["tokens_placed"].items():
+    for key, count in _trace_value(rec, "tokens_placed", dict, at).items():
         try:
             v = int(key)
         except (TypeError, ValueError):
@@ -308,13 +328,29 @@ def _record_from_dict(i: int, rec: dict) -> IterationRecord:
             raise ValueError(f"{at}tokens_placed key {key!r} is not the decimal text of an integer")
         tokens[v] = _trace_int(count, f"{at}tokens_placed[{key!r}]")
     return IterationRecord(
-        index=_trace_int(rec["index"], at + "index"),
-        vertex=_trace_int(rec["vertex"], at + "vertex"),
-        score=_trace_int(rec["score"], at + "score"),
-        newly_covered=_trace_ints(rec["newly_covered"], at + "newly_covered"),
+        index=_trace_value(rec, "index", int, at),
+        vertex=_trace_value(rec, "vertex", int, at),
+        score=_trace_value(rec, "score", int, at),
+        newly_covered=_trace_ints(
+            _trace_value(rec, "newly_covered", list, at), at + "newly_covered"
+        ),
         tokens_placed=tokens,
-        covered_after=_trace_int(rec["covered_after"], at + "covered_after"),
+        covered_after=_trace_value(rec, "covered_after", int, at),
     )
+
+
+_JSON_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list",
+                    dict: "an object"}
+
+
+def _trace_value(doc: dict, key: str, kind: type, at: str = "") -> Any:
+    """doc[key], which must be present and of type kind exactly."""
+    if key not in doc:
+        raise ValueError(f"{at}missing field {key!r}")
+    value = doc[key]
+    if type(value) is not kind:
+        raise ValueError(f"{at}{key} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def _trace_int(value: object, field: str) -> int:

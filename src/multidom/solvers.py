@@ -35,8 +35,12 @@ key is stale.  Two facts make this pick exactly what a full scan would:
 
 * a score never rises, since counts only grow and a chosen vertex leaves
   the heap, so no stored score is below the true one;
-* keys order as (-score, id), so the first top entry whose stored score is
-  fresh has the maximum score and the smallest id among those that have it.
+* a key is the one int (top - score) << shift | id, with top the largest
+  initial score and shift = n.bit_length(), so id < 2 ** shift.  Since no
+  score exceeds top, no key is negative, and keys order exactly as the
+  pairs (-score, id) do: the first top entry whose stored score,
+  top - (key >> shift), is fresh has the maximum score and the smallest id
+  among those that have it.  heapq then compares ints, not tuples.
 
 A key goes stale only when its score falls, so a run re-inserts at most once
 per score update, O(m + n) times at O(log n) each, where the scan cost
@@ -202,9 +206,11 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     still count, breaking ties toward the smallest id.
 
     score[v] is kept current after every step, and candidates sit in a lazy
-    max-heap of (-score, v) keys.  A top key that differs from the current
-    score goes back with that score; otherwise its vertex is taken, which
-    the module docstring shows is the pick a full scan would make.
+    min-heap of one-int keys (top - score) << shift | v, where top is the
+    largest initial score and v < 2 ** shift.  A top key whose score differs
+    from the current one goes back with that score; otherwise its vertex is
+    taken, which the module docstring shows is the pick a full scan would
+    make.
 
     Raises KOutOfRangeError when check_k rejects k.
     """
@@ -215,15 +221,20 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     count = [0] * n  # arrivals that counted, so never above k
     gain0 = self_gain(mode, k, 0)
     score = [len(row) + gain0 for row in adjacency]
-    heap = [(-s, v) for v, s in enumerate(score)]
+    top = max(score)
+    shift = n.bit_length()  # so every id fits below the shift
+    mask = (1 << shift) - 1
+    heap = [(top - s) << shift | v for v, s in enumerate(score)]
     heapq.heapify(heap)
     covered = 0
     records: list[IterationRecord] = []
     while covered < n:
-        stored, best = heap[0]
-        while score[best] != -stored:
-            heapq.heapreplace(heap, (-score[best], best))
-            stored, best = heap[0]
+        key = heap[0]
+        best = key & mask
+        while score[best] != top - (key >> shift):
+            heapq.heapreplace(heap, (top - score[best]) << shift | best)
+            key = heap[0]
+            best = key & mask
         heapq.heappop(heap)
         tokens, rec = apply_step(g, mode, k, count, best, len(records) + 1, covered)
         records.append(rec)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -16,6 +17,7 @@ from multidom import (
     Graph,
     Mode,
     RatioReport,
+    Solution,
     generate,
     parse_dimacs,
     parse_edge_list,
@@ -73,6 +75,11 @@ def test_dimacs_preserves_isolated_vertices():
         ("p edge 3 1\ne 0 2\n", 2),
         ("p edge 3 1\ne 1 2\ne 2 3\n", 4),
         ("p edge 3 3\ne 1 2\ne 3 1", 4),  # no final newline, then a count mismatch
+        ("p edge 2 1\ne 1 2\n3", 3),  # digits after the last line break
+        ("p edge 9 2\ne 1 2\n5e3 3 4\n", 3),  # digits before an e tag
+        ("p edge 9 2\ne 1 \n5e3 3 4\n", 2),  # the same after an empty id: [1,\n5e3,3,4]
+        ("p edge 3 1\ne1 2\n", 2),  # a tag glued to its id
+        ("p edge 3 1000000000000\ne 1 2\n", 3),  # m far beyond the body
         (f"p edge {MAX_VERTICES + 1} 0\n", 1),
         ("p edge " + "9" * 5000 + " 0\n", 1),
         (f"c big\np edge {MAX_VERTICES + 1} 0\ne 1 2\n", 2),
@@ -85,6 +92,19 @@ def test_dimacs_errors_carry_line_numbers(text, line_no):
         parse_dimacs(text)
     assert exc_info.value.line_no == line_no
     assert f"line {line_no}:" in str(exc_info.value)
+
+
+def test_dimacs_header_m_sizes_no_allocation():
+    # m is only compared with the e-line count at the end, so a header far
+    # beyond its body costs what the body costs.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="line 3: header declares 1000000000000 edges"):
+            parse_dimacs("p edge 3 1000000000000\ne 1 2\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_canonical_dimacs_is_read_in_bulk(monkeypatch):
@@ -109,11 +129,11 @@ def _lines_mutation(lines, n, draw):
     (no line ends); return the new text."""
     kind = draw(st.sampled_from((
         "comment", "blank", "crlf", "double_space", "leading_zero", "no_final_newline",
-        "duplicate_edge", "id_zero", "id_past_n", "self_loop", "wrong_m", "huge_int",
-        "reversed_edge", "shuffle",
+        "trailing_digits", "duplicate_edge", "id_zero", "id_past_n", "self_loop", "wrong_m",
+        "huge_m", "huge_int", "digits_before_tag", "glued_tag", "reversed_edge", "shuffle",
     )))
     at = draw(st.integers(1, len(lines)))  # a line index after the header
-    e_lines = [i for i in range(1, len(lines)) if lines[i].startswith("e")]
+    e_lines = [i for i in range(1, len(lines)) if re.fullmatch(r"e \S+ \S+", lines[i])]
     if kind == "comment":
         lines.insert(at, "c a comment")
     elif kind == "blank":
@@ -125,16 +145,33 @@ def _lines_mutation(lines, n, draw):
         lines[i] = lines[i].replace(" ", "  ")
     elif kind == "no_final_newline":
         return "\n".join(lines)
+    elif kind == "trailing_digits":  # a last line of digits only, with no line break
+        return "\n".join(lines) + "\n" + str(draw(st.integers(1, n)))
     elif kind == "duplicate_edge" and e_lines:
         lines.insert(at, lines[draw(st.sampled_from(e_lines))])
     elif kind == "huge_int" and draw(st.booleans()):
         fields = lines[0].split()
         fields[draw(st.sampled_from((2, 3)))] = "9" * draw(st.sampled_from((30, 5000)))
         lines[0] = " ".join(fields)
-    elif kind == "wrong_m" and len(lines[0]) < 40:  # not after a huge_int header
+    elif kind in ("wrong_m", "huge_m") and len(lines[0]) < 40:  # not after a huge_int header
         fields = lines[0].split()
-        fields[3] = str(int(fields[3]) + draw(st.sampled_from((-1, 1))))
+        if kind == "wrong_m":
+            fields[3] = str(int(fields[3]) + draw(st.sampled_from((-1, 1))))
+        else:  # the bulk reader must not size anything by m
+            fields[3] = str(10**12)
         lines[0] = " ".join(fields)
+    elif kind == "digits_before_tag":
+        # `5e3 3 4`: json would read 5e3 as a float if it followed a comma,
+        # as it does after a line whose last id is empty (`e 1 `).
+        if e_lines and draw(st.booleans()):
+            i = draw(st.sampled_from(e_lines))
+            lines[i] = lines[i].rsplit(" ", 1)[0] + " "
+            at = i + 1
+        b, c, d = (draw(st.integers(1, n)) for _ in range(3))
+        lines.insert(at, f"{draw(st.integers(0, 9))}e{b} {c} {d}")
+    elif kind == "glued_tag" and e_lines:  # `e1 2`
+        i = draw(st.sampled_from(e_lines))
+        lines[i] = "e" + lines[i][2:]
     elif kind in ("leading_zero", "id_zero", "id_past_n", "huge_int") and e_lines:
         i = draw(st.sampled_from(e_lines))
         fields = lines[i].split()
@@ -165,13 +202,21 @@ def _outcome(parse, text):
         return (exc.line_no, str(exc))
 
 
+@st.composite
+def _mutated_dimacs(draw):
+    """A canonical dimacs text with up to three _lines_mutation()s applied."""
+    g = draw(graphs(max_n=12))
+    text = write_dimacs(g)
+    for _ in range(draw(st.integers(0, 3))):
+        text = _lines_mutation(text.rstrip("\n").split("\n"), g.n, draw)
+    return text
+
+
 @settings(deadline=None, max_examples=300)
-@given(graphs(max_n=12), st.data(), st.sampled_from((8, 64, graphio._CHUNK)))
-def test_bulk_dimacs_matches_line_reader(g, data, chunk):
-    lines = write_dimacs(g).split("\n")[:-1]
-    text = "\n".join(lines) + "\n"
-    for _ in range(data.draw(st.integers(0, 3))):
-        text = _lines_mutation(text.rstrip("\n").split("\n"), g.n, data.draw)
+@given(_mutated_dimacs(), st.sampled_from((8, 64, graphio._CHUNK)))
+@example("p edge 9 2\ne 1 2\n5e3 3 4\n", graphio._CHUNK)
+@example("p edge 9 2\ne 1 \n5e3 3 4\n", graphio._CHUNK)
+def test_bulk_dimacs_matches_line_reader(text, chunk):
     expected = _outcome(graphio._parse_dimacs_lines, text)
     # Small chunks put chunk edges inside these small graphs.
     with mock.patch.object(graphio, "_CHUNK", chunk):
@@ -357,6 +402,13 @@ def _c6_kdom_trace():
     return g, doc
 
 
+def _parent(doc, path):
+    """The list or object in doc that holds the item at path."""
+    for step in path[:-1]:
+        doc = doc[step]
+    return doc
+
+
 @pytest.mark.parametrize("key", ["+0", " 0", "00", "0 "])
 def test_solution_from_dict_rejects_token_keys_that_alias_a_vertex(key):
     # int() reads each of these as vertex 0; only "0" is its decimal text.
@@ -392,12 +444,72 @@ def test_solution_from_dict_rejects_a_vertex_that_is_not_an_int(vertex):
 def test_solution_from_dict_rejects_bools_in_integer_fields(path, message):
     # json.loads gives False for false, and False == 0: it would read as vertex 0.
     g, doc = _c6_kdom_trace()
-    target = doc
-    for step in path[:-1]:
-        target = target[step]
-    target[path[-1]] = False
+    _parent(doc, path)[path[-1]] = False
     with pytest.raises(ValueError, match=re.escape(f"{message} must be an integer, got False")):
         solution_from_dict(doc, g.fingerprint())
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("chosen",), 5, "chosen must be a list, got 5"),
+        (("iterations",), {"a": 1}, "iterations must be a list, got {'a': 1}"),
+        (("iterations",), [1], "iteration 1 must be an object, got 1"),
+        (("iterations", 0, "newly_covered"), 3, "iteration 1: newly_covered must be a list, got 3"),
+        (("iterations", 1, "tokens_placed"), [], "iteration 2: tokens_placed must be an object, got []"),
+        (("mode",), ["kdom"], "mode must be a string, got ['kdom']"),
+    ],
+)
+def test_solution_from_dict_rejects_fields_of_the_wrong_type(path, value, message):
+    g, doc = _c6_kdom_trace()
+    _parent(doc, path)[path[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solution_from_dict(doc, g.fingerprint())
+
+
+@pytest.mark.parametrize(
+    "path,message",
+    [(("k",), "missing field 'k'"), (("iterations", 2, "score"), "iteration 3: missing field 'score'")],
+)
+def test_solution_from_dict_rejects_a_missing_field(path, message):
+    g, doc = _c6_kdom_trace()
+    del _parent(doc, path)[path[-1]]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solution_from_dict(doc, g.fingerprint())
+
+
+def test_solution_from_dict_requires_trivial_to_be_a_bool():
+    # On a trivial instance 1 == True, so only the type tells them apart.
+    g = generate(FamilySpec("path", n=3))
+    doc = json.loads(write_trace(solve(g, Mode.KDOM, 3)))
+    assert doc["trivial"] is True
+    doc["trivial"] = 1
+    with pytest.raises(ValueError, match=re.escape("trivial must be a boolean, got 1")):
+        solution_from_dict(doc, g.fingerprint())
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(st.data(), _JSON_VALUES)
+def test_solution_from_dict_returns_a_solution_or_raises_value_error(data, value):
+    # Any JSON value in any one place of a valid trace.
+    g, doc = _c6_kdom_trace()
+    slots = [(doc, key) for key in doc] + [(doc["chosen"], 0), (doc["iterations"], 1)]
+    for rec in doc["iterations"]:
+        slots += [(rec, key) for key in rec] + [(rec["tokens_placed"], key) for key in rec["tokens_placed"]]
+        slots += [(rec["newly_covered"], i) for i in range(len(rec["newly_covered"]))]
+    target, key = data.draw(st.sampled_from(slots))
+    target[key] = value
+    try:
+        sol = solution_from_dict(doc, g.fingerprint())
+    except ValueError:
+        return
+    assert isinstance(sol, Solution)
 
 
 def test_mode_renders_as_its_value():

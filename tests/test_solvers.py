@@ -288,12 +288,21 @@ def test_heap_matches_reference_on_tie_heavy_families():
     for n in (7, 16, 33, 60):
         specs += [FamilySpec("cycle", n=n), FamilySpec("complete", n=n), FamilySpec("star", n=n)]
     specs += [FamilySpec("complete_bipartite", a=a, b=a) for a in (3, 8, 17, 30)]
+    # A heap key packs the id below n.bit_length() bits: ids that fill every
+    # bit below the shift (n = 2**j - 1) and n just past it (n = 2**j).
+    for n in (31, 32, 63, 64, 127, 128):
+        specs += [FamilySpec("cycle", n=n), FamilySpec("star", n=n)]
+    runs = []
     for spec in specs:
         g = generate(spec)
-        for mode, k in _admissible_runs(g):
-            sol = solve(g, mode, k)
-            assert is_valid_solution(g, sol), (spec, mode, k)
-            assert verify_greedy_optimality(g, sol), (spec, mode, k)
+        runs += [(g, spec, mode, k) for mode, k in _admissible_runs(g)]
+    # Trivial k-domination with k far past max_degree, where top = max_degree + k.
+    path = generate(FamilySpec("path", n=64))
+    runs.append((path, "path(64)", Mode.KDOM, path.max_degree() + 50))
+    for g, spec, mode, k in runs:
+        sol = solve(g, mode, k)
+        assert is_valid_solution(g, sol), (spec, mode, k)
+        assert verify_greedy_optimality(g, sol), (spec, mode, k)
 
 
 def _every_admissible_run(g):
