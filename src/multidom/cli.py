@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--corpus", help="corpus JSON path (default: built-in corpus)")
     p_bench.add_argument("--csv", help="write the CSV report to this path")
     p_bench.add_argument("--json", help="write the JSON report to this path")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=int, default=1, choices=(1,), help="only 1: one process")
     p_bench.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -162,7 +162,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             entries = _entries_from_json(json.load(fh))
     else:
         entries = default_corpus()
-    reports = run_corpus(entries, jobs=args.jobs, max_n=args.max_n)
+    reports = run_corpus(entries, max_n=args.max_n)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(write_report_csv(reports))

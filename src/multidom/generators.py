@@ -107,7 +107,7 @@ class FamilySpec:
 
     n, a, b, seed and k must be ints and p a number (a bool is neither), or
     None; generate then reports what the family needs.  Raises ValueError
-    otherwise.
+    otherwise.  An int p is stored as a float.
     """
 
     family: str
@@ -125,6 +125,12 @@ class FamilySpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.p is not None and type(self.p) not in (int, float):
             raise ValueError(f"p must be a number, got {self.p!r}")
+        if type(self.p) is int:  # p=1 and p=1.0 are one spec, so they get one id
+            try:
+                object.__setattr__(self, "p", float(self.p))
+            except OverflowError:
+                bits = self.p.bit_length()
+                raise ValueError(f"p must fit in a float, got an int of {bits} bits") from None
 
     def instance_id(self) -> str:
         """Canonical id string, stable across runs."""

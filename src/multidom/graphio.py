@@ -302,7 +302,12 @@ def solution_from_dict(doc: dict, fingerprint: tuple[int, int, str]) -> Solution
     solution_to_dict writes them, and every tokens_placed key the decimal
     text of an int, str(int(key)) == key, so that no two keys name one
     vertex.  Anything else raises ValueError naming the iteration and the
-    field."""
+    field.  The document's (n, m, graph_digest) must be fingerprint, the
+    graph the trace is read for, or ValueError names both triples."""
+    found = (_trace_value(doc, "n", int), _trace_value(doc, "m", int),
+             _trace_value(doc, "graph_digest", str))
+    if found != fingerprint:
+        raise ValueError(f"trace is for (n, m, graph_digest) = {found}, not {fingerprint}")
     iterations = _trace_value(doc, "iterations", list)
     return Solution(
         mode=Mode(_trace_value(doc, "mode", str)),

@@ -26,7 +26,6 @@ __all__ = [
     "gap_witness_check",
 ]
 
-import concurrent.futures
 import math
 import time
 from dataclasses import dataclass, replace
@@ -219,59 +218,39 @@ def run_entry(entry: CorpusEntry, g: Graph, *, max_n: int) -> RatioReport:
     return verify_instance(g, entry.mode, entry.k, spec=entry.spec, max_n=max_n)
 
 
-def run_corpus(
-    entries: list[CorpusEntry],
-    *,
-    jobs: int = 1,
-    max_n: int = DEFAULT_MAX_N,
-) -> list[RatioReport]:
+def run_corpus(entries: list[CorpusEntry], *, max_n: int = DEFAULT_MAX_N) -> list[RatioReport]:
     """Run every corpus entry and return reports in canonical order.
 
     Entries that share a spec share one generated graph, and entries of one
     spec that pose the same problem (solvers.problem_key: dom, ktuple k=1
     and kdom k=1 unless trivial, or repeated entries) share one run: the
     later ones copy the first one's report with their own mode and k, its
-    timing fields included.  Canonical order is
-    (instance_id, mode, k) regardless of jobs, so output is reproducible
-    whether or not the run was parallel.  A spec its generator rejects
+    timing fields included.  Canonical order is (instance_id, mode, k), so
+    output does not depend on entry order.  A spec its generator rejects
     raises ValueError naming the index of its first entry, as
-    "corpus entry <i>: ...".  Raises ValueError for jobs < 1 or max_n < 1.
+    "corpus entry <i>: ...".  Raises ValueError for max_n < 1.
     """
     check_max_n(max_n)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not entries:
         raise ValueError("corpus is empty")
     by_spec: dict[FamilySpec, tuple[int, list[CorpusEntry]]] = {}
     for i, e in enumerate(entries):
         by_spec.setdefault(e.spec, (i, []))[1].append(e)
-    groups = [(first, group, max_n) for first, group in by_spec.values()]
-    if jobs == 1:
-        results = map(_run_spec, groups)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            results = list(pool.map(_run_spec, groups))
-    return sorted((r for reports in results for r in reports), key=RatioReport.sort_key)
-
-
-def _run_spec(arg: tuple[int, list[CorpusEntry], int]) -> list[RatioReport]:
-    """Run entries that share one spec on one generated graph, each distinct
-    problem once; first is the corpus index of the first of them."""
-    first, entries, max_n = arg
-    try:
-        g = generate(entries[0].spec)
-    except ValueError as exc:
-        raise ValueError(f"corpus entry {first}: {exc}") from None
-    runs: dict[tuple[Mode, int], RatioReport] = {}
     reports = []
-    for e in entries:
-        key = problem_key(g, e.mode, e.k)
-        if key in runs:
-            reports.append(replace(runs[key], mode=e.mode, k=e.k))
-        else:
-            runs[key] = run_entry(e, g, max_n=max_n)
-            reports.append(runs[key])
-    return reports
+    for first, group in by_spec.values():
+        try:
+            g = generate(group[0].spec)
+        except ValueError as exc:
+            raise ValueError(f"corpus entry {first}: {exc}") from None
+        runs: dict[tuple[Mode, int], RatioReport] = {}
+        for e in group:
+            key = problem_key(g, e.mode, e.k)
+            if key in runs:
+                reports.append(replace(runs[key], mode=e.mode, k=e.k))
+            else:
+                runs[key] = run_entry(e, g, max_n=max_n)
+                reports.append(runs[key])
+    return sorted(reports, key=RatioReport.sort_key)
 
 
 def summarize(reports: list[RatioReport]) -> CorpusSummary:

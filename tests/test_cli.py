@@ -278,11 +278,14 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
           {"spec": {"family": "cycle", "n": 2}, "mode": "dom"}],
          "corpus entry 1: cycle needs n >= 3, got 2"),
         ([], "error: corpus is empty"),
+        # An int p is stored as a float; one no float holds is an input error.
+        ([{"spec": {"family": "erdos_renyi", "n": 4, "p": 10**400, "seed": 0}, "mode": "dom"}],
+         "corpus entry 0: p must fit in a float, got an int of 1329 bits"),
     ],
     ids=[
         "missing_spec", "unknown_spec_field", "not_a_list", "n_string", "n_list", "n_float",
         "n_bool", "a_float", "b_string", "seed_string", "p_string", "p_bool", "seed_missing",
-        "spec_k_float", "k_float", "k_bool", "generator_rejects_spec", "empty",
+        "spec_k_float", "k_float", "k_bool", "generator_rejects_spec", "empty", "p_too_large",
     ],
 )
 def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):
@@ -342,6 +345,15 @@ def test_removed_options_are_usage_errors(c6_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4", "2"])
+def test_bench_jobs_accepts_only_1(capsys, jobs):
+    # The corpus runs in one process; --jobs 1 is still accepted.
+    with pytest.raises(SystemExit) as exc_info:
+        main(["bench", "--jobs", jobs])
+    assert exc_info.value.code == 2
+    assert f"invalid choice: {jobs} (choose from 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "fmt,text,where",
     [
@@ -384,8 +396,8 @@ def test_vertex_cap_is_usage_error(monkeypatch, capsys, argv, text, where):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["bench", "--jobs", "0"], "jobs must be >= 1, got 0"),
-        (["bench", "--jobs", "-4"], "jobs must be >= 1, got -4"),
+        (["verify", "C6", "--mode", "dom", "--max-n", "0"], "max_n must be >= 1, got 0"),
+        (["bench", "--max-n", "-4"], "max_n must be >= 1, got -4"),
         (["exact", "C6", "--mode", "kdom", "--k", "0"], "k-domination needs k >= 1, got k=0"),
         (["solve", "C6", "--mode", "ktuple", "--k", "4"],
          "k-tuple domination needs 1 <= k <= min_degree + 1 = 3, got k=4"),

@@ -144,6 +144,10 @@ def test_family_spec_rejects_field_types(fields, message):
 
 def test_family_spec_accepts_int_p_and_missing_fields():
     assert generate(FamilySpec("erdos_renyi", n=4, p=1, seed=0)).m == 6
+    # Stored as a float: equal specs hash alike, so they share one id too.
+    spec = FamilySpec("erdos_renyi", n=6, p=1, seed=0)
+    assert type(spec.p) is float and spec == FamilySpec("erdos_renyi", n=6, p=1.0, seed=0)
+    assert spec.instance_id() == "erdos_renyi(n=6,p=1.0,seed=0)"
     with pytest.raises(ValueError, match="path needs n >= 1, got None"):
         generate(FamilySpec("path"))
 

@@ -439,6 +439,8 @@ def test_solution_from_dict_rejects_a_vertex_that_is_not_an_int(vertex):
         (("iterations", 0, "newly_covered", 0), "iteration 1: newly_covered entry"),
         (("iterations", 0, "tokens_placed", "1"), "iteration 1: tokens_placed['1']"),
         (("iterations", 0, "covered_after"), "iteration 1: covered_after"),
+        (("n",), "n"),
+        (("m",), "m"),
     ],
 )
 def test_solution_from_dict_rejects_bools_in_integer_fields(path, message):
@@ -458,6 +460,7 @@ def test_solution_from_dict_rejects_bools_in_integer_fields(path, message):
         (("iterations", 0, "newly_covered"), 3, "iteration 1: newly_covered must be a list, got 3"),
         (("iterations", 1, "tokens_placed"), [], "iteration 2: tokens_placed must be an object, got []"),
         (("mode",), ["kdom"], "mode must be a string, got ['kdom']"),
+        (("graph_digest",), 0, "graph_digest must be a string, got 0"),
     ],
 )
 def test_solution_from_dict_rejects_fields_of_the_wrong_type(path, value, message):
@@ -469,13 +472,29 @@ def test_solution_from_dict_rejects_fields_of_the_wrong_type(path, value, messag
 
 @pytest.mark.parametrize(
     "path,message",
-    [(("k",), "missing field 'k'"), (("iterations", 2, "score"), "iteration 3: missing field 'score'")],
+    [
+        (("k",), "missing field 'k'"),
+        (("iterations", 2, "score"), "iteration 3: missing field 'score'"),
+        (("n",), "missing field 'n'"),
+        (("m",), "missing field 'm'"),
+        (("graph_digest",), "missing field 'graph_digest'"),
+    ],
 )
 def test_solution_from_dict_rejects_a_missing_field(path, message):
     g, doc = _c6_kdom_trace()
     del _parent(doc, path)[path[-1]]
     with pytest.raises(ValueError, match=re.escape(message)):
         solution_from_dict(doc, g.fingerprint())
+
+
+def test_solution_from_dict_rejects_a_trace_of_another_graph():
+    # Read with path(6)'s fingerprint, a cycle(6) trace would otherwise fail
+    # later, in the ledger replay, with a score mismatch.
+    g, doc = _c6_kdom_trace()
+    path6 = generate(FamilySpec("path", n=6))
+    message = f"trace is for (n, m, graph_digest) = {g.fingerprint()}, not {path6.fingerprint()}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solution_from_dict(doc, path6.fingerprint())
 
 
 def test_solution_from_dict_requires_trivial_to_be_a_bool():

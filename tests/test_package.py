@@ -1,6 +1,9 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +60,17 @@ def test_modules_import_only_earlier_layers(name):
     assert imported <= set(LAYER_ORDER), imported - set(LAYER_ORDER)
     later = [m for m in imported if LAYER_ORDER.index(m) >= LAYER_ORDER.index(name)]
     assert not later, f"multidom.{name} imports {later}, not before it in {LAYER_ORDER}"
+
+
+def test_import_loads_no_process_pool_or_logging():
+    # threading is left out: site already loads it on some interpreters.
+    src = str(Path(multidom.__file__).parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import multidom; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    added = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "multidom" in added
+    assert not {m for m in added if m.split(".")[0] in ("concurrent", "logging")}
