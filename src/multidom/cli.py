@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -42,15 +43,27 @@ from .solvers import Mode, check_multiplicity, solve
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; main may be called any number of times in one
+    process.  The parser is built on the first call and reused, and each
+    call looks its handler up by name, so a rebound _cmd_* is the one run.
+    Nothing read from the input outlives the call."""
+    args = _build_parser().parse_args(argv)
+    handlers = {
+        "gen": _cmd_gen,
+        "solve": _cmd_solve,
+        "exact": _cmd_exact,
+        "verify": _cmd_verify,
+        "bench": _cmd_bench,
+        "selfcheck": _cmd_selfcheck,
+    }
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except (ValueError, OSError) as exc:  # every error class of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multidom",
@@ -68,12 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, help="witness parameter (gap_witness)")
     p_gen.add_argument("--format", default="dimacs", choices=FORMATS)
     p_gen.add_argument("--output", default="-", help="output path, - for stdout")
-    p_gen.set_defaults(func=_cmd_gen)
 
-    for name, func, extra in (
-        ("solve", _cmd_solve, "greedy-solve an instance"),
-        ("exact", _cmd_exact, "exactly solve an instance"),
-        ("verify", _cmd_verify, "run all checks on one instance"),
+    for name, extra in (
+        ("solve", "greedy-solve an instance"),
+        ("exact", "exactly solve an instance"),
+        ("verify", "run all checks on one instance"),
     ):
         p = sub.add_parser(name, help=extra)
         p.add_argument("input", help="graph file, - for stdin")
@@ -84,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trace", help="write the full iteration trace to this path")
         if name in ("exact", "verify"):
             p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-        p.set_defaults(func=func)
 
     p_bench = sub.add_parser("bench", help="run a corpus and report ratios")
     p_bench.add_argument("--corpus", help="corpus JSON path (default: built-in corpus)")
@@ -92,12 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--json", help="write the JSON report to this path")
     p_bench.add_argument("--jobs", type=int, default=1, choices=(1,), help="only 1: one process")
     p_bench.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_self = sub.add_parser("selfcheck", help="instance-independent checks")
     p_self.add_argument("--x-max", type=int, default=1000, help="harmonic pair-check limit")
     p_self.add_argument("--delta-max", type=int, default=1000, help="ratio-improvement check limit")
-    p_self.set_defaults(func=_cmd_selfcheck)
     return parser
 
 

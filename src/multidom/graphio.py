@@ -304,6 +304,8 @@ def solution_from_dict(doc: dict, fingerprint: tuple[int, int, str]) -> Solution
     vertex.  Anything else raises ValueError naming the iteration and the
     field.  The document's (n, m, graph_digest) must be fingerprint, the
     graph the trace is read for, or ValueError names both triples."""
+    if type(doc) is not dict:
+        raise ValueError(f"trace document must be a JSON object, got {type(doc).__name__}")
     found = (_trace_value(doc, "n", int), _trace_value(doc, "m", int),
              _trace_value(doc, "graph_digest", str))
     if found != fingerprint:

@@ -97,6 +97,10 @@ class Mode(str, enum.Enum):
         return self.value
 
 
+# The tokens_placed of every record that has none.
+_NO_TOKENS: Mapping[int, int] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One greedy step.
@@ -120,7 +124,11 @@ class IterationRecord:
 
     def __post_init__(self) -> None:
         # A read-only copy, so a record cannot change after it is made.
-        object.__setattr__(self, "tokens_placed", MappingProxyType(dict(self.tokens_placed)))
+        tokens = self.tokens_placed
+        if tokens is not _NO_TOKENS:
+            object.__setattr__(
+                self, "tokens_placed", MappingProxyType(dict(tokens)) if tokens else _NO_TOKENS
+            )
 
 
 @dataclass(frozen=True)
@@ -286,7 +294,7 @@ def apply_step(
         vertex=v,
         score=sum(tokens.values()),
         newly_covered=tuple(newly),
-        tokens_placed=tokens if mode is Mode.KDOM else {},
+        tokens_placed=tokens if mode is Mode.KDOM else _NO_TOKENS,
         covered_after=covered + len(newly),
     )
 

@@ -1,7 +1,10 @@
+import argparse
 import csv
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from multidom import (
     solve,
     write_dimacs,
 )
+from multidom import cli
 from multidom.cli import main
 from multidom.graphio import _any_int_digits
 
@@ -456,3 +460,58 @@ def test_package_errors_are_value_errors(error):
     # main() turns ValueError and OSError into exit 2; any other class
     # would escape as a traceback.
     assert issubclass(error, ValueError)
+
+
+def test_a_rebound_handler_runs_after_the_parser_is_built(c6_path, monkeypatch, capsys):
+    # A span tracer rebinds cli._cmd_solve between calls; the parser built by
+    # the first call must not keep the original.
+    assert main(["solve", c6_path, "--mode", "dom"]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_solve", lambda args: seen.append(args) or 7)
+    assert main(["solve", c6_path, "--mode", "dom"]) == 7
+    assert [(a.command, a.input, a.mode) for a in seen] == [("solve", c6_path, "dom")]
+    assert capsys.readouterr().out == ""
+
+
+MINIMAL_ARGV = {
+    "gen": ["--family", "path"],
+    "solve": ["-", "--mode", "dom"],
+    "exact": ["-", "--mode", "dom"],
+    "verify": ["-", "--mode", "dom"],
+    "bench": [],
+    "selfcheck": [],
+}
+
+
+def test_every_subcommand_dispatches_to_its_handler(monkeypatch):
+    (commands,) = [
+        a.choices for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(commands) == set(MINIMAL_ARGV)
+    for name in commands:
+        seen = []
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args, seen=seen: seen.append(args) or 0)
+        assert main([name, *MINIMAL_ARGV[name]]) == 0
+        assert [a.command for a in seen] == [name]
+
+
+def test_usage_error_and_help_leave_the_next_call_as_in_a_fresh_process(c6_path, capsys):
+    argv = ["verify", c6_path, "--mode", "kdom", "--k", "2"]
+    src = str(Path(cli.__file__).parents[1])
+    script = f"import sys; sys.path.insert(0, {src!r}); from multidom.cli import main; main({argv!r})"
+    fresh = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    for bad, code in (
+        (["verify", c6_path, "--mode", "kdom", "--k", "two"], 2),
+        (["solve", c6_path], 2),
+        (["--help"], 0),
+        (["verify", "--help"], 0),
+    ):
+        with pytest.raises(SystemExit) as exc_info:
+            main(bad)
+        assert exc_info.value.code == code
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh

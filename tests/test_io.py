@@ -497,6 +497,15 @@ def test_solution_from_dict_rejects_a_trace_of_another_graph():
         solution_from_dict(doc, path6.fingerprint())
 
 
+@pytest.mark.parametrize("doc", ["n", ["n"], 5, None, True])
+def test_solution_from_dict_rejects_a_document_that_is_not_an_object(doc):
+    # A string or list would otherwise fail on `"n" in doc`'s lookup as a TypeError.
+    g = generate(FamilySpec("cycle", n=6))
+    message = f"trace document must be a JSON object, got {type(doc).__name__}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solution_from_dict(doc, g.fingerprint())
+
+
 def test_solution_from_dict_requires_trivial_to_be_a_bool():
     # On a trivial instance 1 == True, so only the type tells them apart.
     g = generate(FamilySpec("path", n=3))

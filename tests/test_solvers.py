@@ -10,9 +10,12 @@ from multidom import (
     Graph,
     KOutOfRangeError,
     Mode,
+    apply_step,
+    build_ledger,
     default_corpus,
     generate,
     is_valid_solution,
+    solution_from_dict,
     solution_to_dict,
     solve,
     verify_greedy_optimality,
@@ -105,6 +108,33 @@ def test_kdom_trivial_case():
 def test_kdom_non_trivial_has_no_flag():
     assert not solve(star(6), Mode.KDOM, 2).trivial
     assert not solve(cycle(5), Mode.KDOM, 2).trivial
+
+
+@pytest.mark.parametrize("mode,k", [(Mode.DOM, 1), (Mode.KTUPLE, 2)])
+def test_records_without_tokens_share_one_read_only_empty_map(mode, k):
+    g = cycle(7)
+    sol = solve(g, mode, k)
+    assert len({id(rec.tokens_placed) for rec in sol.iterations}) == 1
+    rec = sol.iterations[0]
+    assert dict(rec.tokens_placed) == {}
+    with pytest.raises(TypeError):
+        rec.tokens_placed[rec.vertex] = 1
+    # The record a trace reader builds from {} is equal, and audits.
+    doc = json.loads(json.dumps(solution_to_dict(sol)))
+    assert doc["iterations"][0]["tokens_placed"] == {}
+    assert solution_from_dict(doc, g.fingerprint()) == sol
+    assert build_ledger(g, sol).scores == tuple(r.score for r in sol.iterations)
+
+
+def test_kdom_record_keeps_a_copy_of_its_tokens():
+    # apply_step returns the dict the record was built from; the solver goes on using it.
+    tokens, rec = apply_step(star(3), Mode.KDOM, 2, [0] * 4, 0, 1, 0)
+    assert tokens == {0: 2, 1: 1, 2: 1, 3: 1} == dict(rec.tokens_placed)
+    tokens[1] = 5
+    tokens[4] = 1
+    assert dict(rec.tokens_placed) == {0: 2, 1: 1, 2: 1, 3: 1}
+    with pytest.raises(TypeError):
+        rec.tokens_placed[1] = 5
 
 
 # Recorded from the three separate greedy loops that solve() replaced: one
