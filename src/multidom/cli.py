@@ -104,9 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--jobs", type=int, default=1, choices=(1,), help="only 1: one process")
     p_bench.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
 
-    p_self = sub.add_parser("selfcheck", help="instance-independent checks")
-    p_self.add_argument("--x-max", type=int, default=1000, help="harmonic pair-check limit")
-    p_self.add_argument("--delta-max", type=int, default=1000, help="ratio-improvement check limit")
+    sub.add_parser("selfcheck", help="instance-independent checks")
     return parser
 
 
@@ -186,8 +184,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     checks = {
-        "harmonic_inequalities": check_harmonic_inequalities(args.x_max),
-        "ratio_improvement": check_ratio_improvement(args.delta_max),
+        "harmonic_inequalities": check_harmonic_inequalities(1000),
+        "ratio_improvement": check_ratio_improvement(1000),
     }
     gap_ok = True
     for k in range(2, 6):  # the witnesses k = 2..5

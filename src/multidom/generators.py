@@ -107,7 +107,8 @@ class FamilySpec:
 
     n, a, b, seed and k must be ints and p a number (a bool is neither), or
     None; generate then reports what the family needs.  Raises ValueError
-    otherwise.  An int p is stored as a float.
+    otherwise.  An int p is stored as a float, and seed modulo 2**64, the
+    value SplitMix64 reads, so one graph has one spec and one id.
     """
 
     family: str
@@ -131,6 +132,8 @@ class FamilySpec:
             except OverflowError:
                 bits = self.p.bit_length()
                 raise ValueError(f"p must fit in a float, got an int of {bits} bits") from None
+        if self.seed is not None:
+            object.__setattr__(self, "seed", self.seed & _MASK64)
 
     def instance_id(self) -> str:
         """Canonical id string, stable across runs."""

@@ -22,9 +22,11 @@ The line readers take an integer only as ASCII `-?[0-9]+` (leading zeros
 allowed); int() alone would also take `1_0`, `+1` and non-ASCII digits.
 Parse errors carry the 1-based line number.  A vertex count outside
 1..graph.MAX_VERTICES is reported at the dimacs `p` line or the edgelist
-`# n` line, and a count from the largest id at the end.  Writers
-emit edges sorted, one adjacency row at a time (Graph.edge_text), so output
-is canonical: parse(write(g)) == g for every graph.
+`# n` line, and a count from the largest id at the end.  An endpoint at or
+past the count is reported at the first edge line that has one, in both
+formats and wherever the `# n` line sits.  Writers emit edges sorted, one
+adjacency row at a time (Graph.edge_text), so output is canonical:
+parse(write(g)) == g for every graph.
 """
 
 from __future__ import annotations
@@ -260,6 +262,11 @@ def parse_edge_list(text: str) -> Graph:
         if max_id < 0:
             raise FormatError(1, "cannot infer vertex count from an empty edge list")
         n = max_id + 1
+    elif max_id >= n:  # the first edge past the count, wherever the directive sits
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if line[:1] not in ("", "#") and max(map(int, line.split())) >= n:
+                raise FormatError(line_no, f"endpoint outside 0..{n - 1} in {line!r}")
     return _graph(n, edges, lines)
 
 
@@ -297,79 +304,68 @@ def solution_to_dict(sol: Solution) -> dict:
 def solution_from_dict(doc: dict, fingerprint: tuple[int, int, str]) -> Solution:
     """The Solution of a trace document as solution_to_dict writes it.
 
-    Every field must be present with its JSON type: an int (a bool is not
-    one) in every integer field, a bool in trivial, lists and objects where
-    solution_to_dict writes them, and every tokens_placed key the decimal
+    Every field must be present with the JSON type its _TRACE_* table names
+    (a bool is not an int), and every tokens_placed key must be the decimal
     text of an int, str(int(key)) == key, so that no two keys name one
-    vertex.  Anything else raises ValueError naming the iteration and the
+    vertex; anything else raises ValueError naming the iteration and the
     field.  The document's (n, m, graph_digest) must be fingerprint, the
     graph the trace is read for, or ValueError names both triples."""
     if type(doc) is not dict:
         raise ValueError(f"trace document must be a JSON object, got {type(doc).__name__}")
-    found = (_trace_value(doc, "n", int), _trace_value(doc, "m", int),
-             _trace_value(doc, "graph_digest", str))
+    found = tuple(_trace_fields(doc, _TRACE_HEAD).values())
     if found != fingerprint:
         raise ValueError(f"trace is for (n, m, graph_digest) = {found}, not {fingerprint}")
-    iterations = _trace_value(doc, "iterations", list)
-    return Solution(
-        mode=Mode(_trace_value(doc, "mode", str)),
-        k=_trace_value(doc, "k", int),
-        chosen=_trace_ints(_trace_value(doc, "chosen", list), "chosen"),
-        iterations=tuple(_record_from_dict(i, rec) for i, rec in enumerate(iterations, 1)),
-        graph_fingerprint=fingerprint,
-        trivial=_trace_value(doc, "trivial", bool),
-    )
+    fields = _trace_fields(doc, _TRACE_BODY)
+    fields["mode"] = Mode(fields["mode"])
+    return Solution(**fields, graph_fingerprint=fingerprint)
 
 
-def _record_from_dict(i: int, rec: object) -> IterationRecord:
-    at = f"iteration {i}: "
-    if type(rec) is not dict:
-        raise ValueError(f"iteration {i} must be an object, got {rec!r}")
-    tokens = {}
-    for key, count in _trace_value(rec, "tokens_placed", dict, at).items():
-        try:
-            v = int(key)
-        except (TypeError, ValueError):
-            v = None
-        if v is None or str(v) != key:
-            raise ValueError(f"{at}tokens_placed key {key!r} is not the decimal text of an integer")
-        tokens[v] = _trace_int(count, f"{at}tokens_placed[{key!r}]")
-    return IterationRecord(
-        index=_trace_value(rec, "index", int, at),
-        vertex=_trace_value(rec, "vertex", int, at),
-        score=_trace_value(rec, "score", int, at),
-        newly_covered=_trace_ints(
-            _trace_value(rec, "newly_covered", list, at), at + "newly_covered"
-        ),
-        tokens_placed=tokens,
-        covered_after=_trace_value(rec, "covered_after", int, at),
-    )
-
-
+# A trace's fields and their exact JSON types, one table per level, each in
+# check order.  Lists hold ints, but iterations holds _TRACE_RECORD objects.
+_TRACE_HEAD = {"n": int, "m": int, "graph_digest": str}
+_TRACE_BODY = {"iterations": list, "mode": str, "k": int, "chosen": list, "trivial": bool}
+_TRACE_RECORD = {"tokens_placed": dict, "index": int, "vertex": int, "score": int,
+                 "newly_covered": list, "covered_after": int}
 _JSON_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list",
                     dict: "an object"}
 
 
-def _trace_value(doc: dict, key: str, kind: type, at: str = "") -> Any:
-    """doc[key], which must be present and of type kind exactly."""
-    if key not in doc:
-        raise ValueError(f"{at}missing field {key!r}")
-    value = doc[key]
+def _trace_fields(doc: dict, table: dict[str, type], at: str = "") -> dict[str, Any]:
+    """The value of each field of table in doc, which must be present and of
+    its type exactly, checked in table order: iterations as a tuple of
+    IterationRecords, any other list as a tuple of ints and tokens_placed as
+    an {int: int} dict.  Every message starts with at."""
+    values = {}
+    for key, kind in table.items():
+        if key not in doc:
+            raise ValueError(f"{at}missing field {key!r}")
+        value = _typed(doc[key], kind, at + key)
+        if key == "iterations":
+            value = tuple(IterationRecord(**_trace_fields(_typed(rec, dict, f"iteration {i}"),
+                                                          _TRACE_RECORD, f"iteration {i}: "))
+                          for i, rec in enumerate(value, 1))
+        elif kind is list:
+            value = tuple(_typed(entry, int, f"{at}{key} entry") for entry in value)
+        elif kind is dict:
+            value = {_vertex_key(text, at): _typed(count, int, f"{at}{key}[{text!r}]")
+                     for text, count in value.items()}
+        values[key] = value
+    return values
+
+
+def _typed(value: Any, kind: type, name: str) -> Any:
     if type(value) is not kind:
-        raise ValueError(f"{at}{key} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+        raise ValueError(f"{name} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _trace_int(value: object, field: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _trace_ints(values: list, field: str) -> tuple[int, ...]:
-    for value in values:
-        _trace_int(value, field + " entry")
-    return tuple(values)
+def _vertex_key(text: str, at: str) -> int:
+    try:
+        if str(v := int(text)) == text:
+            return v
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{at}tokens_placed key {text!r} is not the decimal text of an integer")
 
 
 def write_trace(sol: Solution) -> str:
@@ -381,38 +377,31 @@ def write_trace(sol: Solution) -> str:
     here."""
     doc = solution_to_dict(sol)
     # The two nested fields are the last two, so what is left is the head.
-    iterations = doc.pop("iterations")
-    chosen = doc.pop("chosen")
-    records = ",\n    ".join([
-        f'{{\n      "index": {rec["index"]},\n      "vertex": {rec["vertex"]},'
-        f'\n      "score": {rec["score"]},'
-        f'\n      "newly_covered": {_int_list(rec["newly_covered"], 6)},'
-        f'\n      "tokens_placed": {_int_map(rec["tokens_placed"])},'
-        f'\n      "covered_after": {rec["covered_after"]}\n    }}'
+    chosen, iterations = doc.pop("chosen"), doc.pop("iterations")
+    records = [
+        f'''{{
+      "index": {rec["index"]},
+      "vertex": {rec["vertex"]},
+      "score": {rec["score"]},
+      "newly_covered": {_frame(map(str, rec["newly_covered"]), 6)},
+      "tokens_placed": {_frame([f'"{v}": {c}' for v, c in tok.items()], 6, "{}") if tok else "{}"},
+      "covered_after": {rec["covered_after"]}
+    }}'''
         for rec in iterations
-    ])
-    return (
-        "{\n  " + _fields_text(doc, 2)
-        + ',\n  "chosen": ' + _int_list(chosen, 2)
-        + ',\n  "iterations": ' + (f"[\n    {records}\n  ]" if records else "[]")
-        + "\n}\n"
-    )
+        for tok in [rec["tokens_placed"]]  # {} on every dom and ktuple record
+    ]
+    head = [_fields_text(doc, 2), '"chosen": ' + _frame(map(str, chosen), 2),
+            '"iterations": ' + _frame(records, 2)]
+    return _frame(head, 0, "{}") + "\n"
 
 
-def _int_list(values: list[int], indent: int) -> str:
-    """A list of ints as indent=2 renders it as a field indent spaces deep."""
-    if not values:
-        return "[]"
-    inner = "\n" + " " * (indent + 2)
-    return "[" + inner + ("," + inner).join(map(str, values)) + "\n" + " " * indent + "]"
-
-
-def _int_map(tokens: dict[str, int]) -> str:
-    """An iteration record's tokens_placed as indent=2 renders it."""
-    if not tokens:
-        return "{}"
-    items = ",\n        ".join([f'"{v}": {c}' for v, c in tokens.items()])
-    return "{\n        " + items + "\n      }"
+def _frame(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
+    """Items, each already rendered, framed as indent=2 frames the items of
+    a list, or with brackets "{}" the fields of an object, that starts depth
+    spaces deep.  No items give the bare brackets."""
+    pad = "\n" + " " * depth
+    text = ("," + pad + "  ").join(items)
+    return f"{brackets[0]}{pad}  {text}{pad}{brackets[1]}" if text else brackets
 
 
 def report_to_dict(report: RatioReport) -> dict:
@@ -435,10 +424,8 @@ def write_report_json(reports: Iterable[RatioReport]) -> str:
     """json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n",
     byte for byte: each report is one flat object, rendered by _fields_text,
     and only the list's frame is written here."""
-    items = [_fields_text(report_to_dict(r), 4) for r in reports]
-    if not items:
-        return "[]\n"
-    return "[\n  {\n    " + "\n  },\n  {\n    ".join(items) + "\n  }\n]\n"
+    items = [_frame([_fields_text(report_to_dict(r), 4)], 2, "{}") for r in reports]
+    return _frame(items, 0) + "\n"
 
 
 def write_verify_json(report: RatioReport) -> str:
@@ -455,17 +442,19 @@ def write_verify_json(report: RatioReport) -> str:
         for col, value in report_to_dict(report).items()
         if not col.endswith("_time_s")
     }
-    text = "{\n  " + _fields_text(doc, 2)
+    fields = [_fields_text(doc, 2)]
     if report.skip_reason is None:
         with _any_int_digits():
-            rows = ",\n    ".join([
-                f'{{\n      "vertex": {w},'
-                f'\n      "lhs": "{lhs.numerator}/{lhs.denominator}",'
-                f'\n      "bound": "{bound.numerator}/{bound.denominator}"\n    }}'
+            rows = [
+                f'''{{
+      "vertex": {w},
+      "lhs": "{lhs.numerator}/{lhs.denominator}",
+      "bound": "{bound.numerator}/{bound.denominator}"
+    }}'''
                 for w, (lhs, bound) in enumerate(report.ledger_rows)
-            ])
-        text += ',\n  "ledger": ' + (f"[\n    {rows}\n  ]" if rows else "[]")
-    return text + "\n}\n"
+            ]
+        fields.append('"ledger": ' + _frame(rows, 2))
+    return _frame(fields, 0, "{}") + "\n"
 
 
 def _fields_text(doc: dict, indent: int) -> str:

@@ -6,6 +6,7 @@ and must finish well inside five minutes altogether.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -17,6 +18,8 @@ from multidom import (
     Graph,
     KOutOfRangeError,
     Mode,
+    approximation_bound,
+    audit,
     build_ledger,
     check_harmonic_inequalities,
     check_harmonic_log_bound,
@@ -30,8 +33,10 @@ from multidom import (
     generate,
     parse_graph,
     run_corpus,
+    solution_from_dict,
     solve,
     write_graph,
+    write_trace,
 )
 from conftest import check_subset_cost_bound, closed_neighborhood, verify_monotonicity
 
@@ -316,4 +321,45 @@ def test_c12_io_round_trip(corpus_entries, report):
         "io-round-trip",
         ok,
         f"{len(specs)} corpus graphs, dimacs and edgelist parse/write identity",
+    )
+
+
+# The worst greedy/OPT over every labelled graph with n <= 5, as measured.
+WORST_RATIO_UP_TO_5 = {
+    (Mode.DOM, 1): Fraction(3, 2),
+    (Mode.KTUPLE, 2): Fraction(4, 3),
+    (Mode.KTUPLE, 3): Fraction(5, 4),
+    (Mode.KDOM, 2): Fraction(3, 2),
+    (Mode.KDOM, 3): Fraction(5, 3),
+}
+
+
+def test_c13_every_labelled_graph_up_to_5(report):
+    # Over all labelled graphs the smallest-id tie-break meets every vertex
+    # order, so this covers every fixed tie-break of these sizes.
+    graphs = runs = 0
+    worst = dict.fromkeys(WORST_RATIO_UP_TO_5, Fraction(0))
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, itertools.compress(pairs, (mask >> i & 1 for i in range(len(pairs)))))
+            graphs += 1
+            for mode, k in worst:
+                if mode is Mode.KTUPLE and k > g.min_degree() + 1:
+                    continue
+                runs += 1
+                sol = solve(g, mode, k)
+                # The trace as `solve --trace` writes it reads back as sol.
+                assert solution_from_dict(json.loads(write_trace(sol)), g.fingerprint()) == sol
+                assert audit(build_ledger(g, sol))[0], (n, mask, mode, k)
+                opt = exact_minimum(g, mode, k, upper=sol.chosen).optimum
+                assert opt == exact_minimum_naive(g, mode, k).optimum, (n, mask, mode, k)
+                assert sol.size <= approximation_bound(mode, g.max_degree(), k) * opt
+                worst[mode, k] = max(worst[mode, k], Fraction(sol.size, opt))
+    ok = (graphs, runs) == (1099, 4375) and worst == WORST_RATIO_UP_TO_5
+    report(
+        "every-labelled-graph-n<=5",
+        ok,
+        f"{graphs} graphs, {runs} runs: trace round trip, audit, both oracles, bound; "
+        f"worst greedy/OPT {', '.join(f'{m} k={k} {r}' for (m, k), r in worst.items())}",
     )

@@ -302,7 +302,7 @@ def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):
 
 
 def test_selfcheck(capsys):
-    assert main(["selfcheck", "--x-max", "60", "--delta-max", "60"]) == 0
+    assert main(["selfcheck"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "pass"
     assert doc["harmonic_inequalities"] is True
@@ -337,12 +337,16 @@ def test_duplicate_n_directive_is_usage_error(monkeypatch, capsys):
         ["solve", "C6", "--mode", "dom", "--format", "edgelist", "--n", "8"],
         ["exact", "C6", "--mode", "dom", "--format", "edgelist", "--n", "8"],
         ["selfcheck", "--gap-k-max", "5"],
+        ["selfcheck", "--x-max", "100"],
+        ["selfcheck", "--delta-max", "100"],
     ],
-    ids=["verify_n", "solve_n", "exact_n", "selfcheck_gap_k_max"],
+    ids=["verify_n", "solve_n", "exact_n", "selfcheck_gap_k_max", "selfcheck_x_max",
+         "selfcheck_delta_max"],
 )
 def test_removed_options_are_usage_errors(c6_path, capsys, argv):
     # The edgelist count comes from its `# n` line or its largest id, and
-    # selfcheck replays the gap witnesses for k = 2..5.
+    # selfcheck replays the gap witnesses for k = 2..5 and checks the
+    # harmonic pairs and the ratio improvement up to 1000.
     with pytest.raises(SystemExit) as exc_info:
         main([c6_path if a == "C6" else a for a in argv])
     assert exc_info.value.code == 2
@@ -405,8 +409,9 @@ def test_vertex_cap_is_usage_error(monkeypatch, capsys, argv, text, where):
         (["exact", "C6", "--mode", "kdom", "--k", "0"], "k-domination needs k >= 1, got k=0"),
         (["solve", "C6", "--mode", "ktuple", "--k", "4"],
          "k-tuple domination needs 1 <= k <= min_degree + 1 = 3, got k=4"),
-        (["selfcheck", "--x-max", "0"], "x_max must be >= 1, got 0"),
-        (["selfcheck", "--delta-max", "0"], "delta_max must be >= 1, got 0"),
+        (["verify", "C6", "--mode", "kdom", "--k", "100000000000"],
+         "k=100000000000 needs n * k = 600000000000 arrivals, above the cap of 10000000"),
+        (["exact", "C6", "--mode", "ktuple", "--k", "0"], "k-tuple domination needs k >= 1, got k=0"),
         # A cap below 1 would refuse every exact run, not turn the check off.
         (["bench", "--max-n", "0"], "max_n must be >= 1, got 0"),
         (["verify", "C6", "--mode", "dom", "--max-n", "-1"], "max_n must be >= 1, got -1"),

@@ -152,6 +152,17 @@ def test_family_spec_accepts_int_p_and_missing_fields():
         generate(FamilySpec("path"))
 
 
+@pytest.mark.parametrize("seed", [2**64 + 5, -(2**64) + 5, 5 - 2**70])
+def test_family_spec_stores_the_seed_modulo_2_64(seed):
+    # generate reads the seed modulo 2**64, so these name seed 5's graph.
+    spec = FamilySpec("erdos_renyi", n=10, p=0.3, seed=seed)
+    five = FamilySpec("erdos_renyi", n=10, p=0.3, seed=5)
+    assert spec == five and hash(spec) == hash(five)
+    assert spec.instance_id() == five.instance_id() == "erdos_renyi(n=10,p=0.3,seed=5)"
+    assert generate(spec) == generate(five)
+    assert FamilySpec("erdos_renyi", n=10, p=0.3, seed=-1).seed == 2**64 - 1
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -337,8 +337,18 @@ def test_int_token_matches_the_ascii_pattern(token):
 
 
 def test_edge_list_rejects_ids_beyond_declared_n():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc_info:
         parse_edge_list("# n 2\n0 5\n")
+    assert exc_info.value.line_no == 2
+    assert str(exc_info.value) == "line 2: endpoint outside 0..1 in '0 5'"
+
+
+def test_edge_list_names_the_first_edge_past_a_later_count():
+    # The directive may come after the edges; the first bad edge's own line
+    # is named, as the dimacs reader names `e 1 5` in 1..3.
+    with pytest.raises(FormatError) as exc_info:
+        parse_edge_list("0 1\n 4  2 \n3 0\n# n 3\n")
+    assert str(exc_info.value) == "line 2: endpoint outside 0..2 in '4  2'"
 
 
 def test_format_dispatch():
