@@ -214,13 +214,17 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
     is not one).  A k that no graph admits (solvers.check_multiplicity) is
     malformed; a k-tuple k above a graph's min_degree + 1 is a skipped
     entry.  Raises ValueError naming the entry index for a malformed
-    document."""
+    document, an entry or a spec that is not a JSON object included."""
     if not isinstance(doc, list):
         raise ValueError(f"corpus document must be a JSON list, got {type(doc).__name__}")
     entries = []
     for i, item in enumerate(doc):
+        if type(item) is not dict:
+            raise ValueError(f"corpus entry {i} must be a JSON object, got {type(item).__name__}")
         try:
-            spec = FamilySpec(**item["spec"])
+            if type(spec := item["spec"]) is not dict:
+                raise ValueError(f"spec must be a JSON object, got {type(spec).__name__}")
+            spec = FamilySpec(**spec)
             k = item.get("k", 1)
             if type(k) is not int:
                 raise ValueError(f"k must be an integer, got {k!r}")

@@ -27,6 +27,10 @@ past the count is reported at the first edge line that has one, in both
 formats and wherever the `# n` line sits.  Writers emit edges sorted, one
 adjacency row at a time (Graph.edge_text), so output is canonical:
 parse(write(g)) == g for every graph.
+
+Every JSON document (the solve trace, the verify report and the bench
+report) is written as json.dumps(doc) plus a newline: json's C encoder,
+default separators, one line, keys in the order the document is built.
 """
 
 from __future__ import annotations
@@ -369,39 +373,7 @@ def _vertex_key(text: str, at: str) -> int:
 
 
 def write_trace(sol: Solution) -> str:
-    """json.dumps(solution_to_dict(sol), indent=2) + "\n", byte for byte.
-
-    indent= selects json's pure-Python encoder, which takes most of a long
-    trace's write.  The flat head goes through the C encoder (_fields_text);
-    the rest holds only ints, whose JSON text is str(), and is formatted
-    here."""
-    doc = solution_to_dict(sol)
-    # The two nested fields are the last two, so what is left is the head.
-    chosen, iterations = doc.pop("chosen"), doc.pop("iterations")
-    records = [
-        f'''{{
-      "index": {rec["index"]},
-      "vertex": {rec["vertex"]},
-      "score": {rec["score"]},
-      "newly_covered": {_frame(map(str, rec["newly_covered"]), 6)},
-      "tokens_placed": {_frame([f'"{v}": {c}' for v, c in tok.items()], 6, "{}") if tok else "{}"},
-      "covered_after": {rec["covered_after"]}
-    }}'''
-        for rec in iterations
-        for tok in [rec["tokens_placed"]]  # {} on every dom and ktuple record
-    ]
-    head = [_fields_text(doc, 2), '"chosen": ' + _frame(map(str, chosen), 2),
-            '"iterations": ' + _frame(records, 2)]
-    return _frame(head, 0, "{}") + "\n"
-
-
-def _frame(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
-    """Items, each already rendered, framed as indent=2 frames the items of
-    a list, or with brackets "{}" the fields of an object, that starts depth
-    spaces deep.  No items give the bare brackets."""
-    pad = "\n" + " " * depth
-    text = ("," + pad + "  ").join(items)
-    return f"{brackets[0]}{pad}  {text}{pad}{brackets[1]}" if text else brackets
+    return json.dumps(solution_to_dict(sol)) + "\n"
 
 
 def report_to_dict(report: RatioReport) -> dict:
@@ -421,18 +393,13 @@ def write_report_csv(reports: Iterable[RatioReport]) -> str:
 
 
 def write_report_json(reports: Iterable[RatioReport]) -> str:
-    """json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n",
-    byte for byte: each report is one flat object, rendered by _fields_text,
-    and only the list's frame is written here."""
-    items = [_frame([_fields_text(report_to_dict(r), 4)], 2, "{}") for r in reports]
-    return _frame(items, 0) + "\n"
+    return json.dumps([report_to_dict(r) for r in reports]) + "\n"
 
 
 def write_verify_json(report: RatioReport) -> str:
-    """The document `multidom verify` prints, as json.dumps(doc, indent=2) +
-    "\n" renders it, byte for byte.
+    """The document `multidom verify` prints.
 
-    doc holds the report's columns without the *_time_s ones, so the output
+    It holds the report's columns without the *_time_s ones, so the output
     of equal runs is byte-identical, with instance_id written as instance.
     Unless the report is a skip, a "ledger" list follows with one
     {"vertex", "lhs", "bound"} row per vertex, each fraction as "p/q" in
@@ -442,27 +409,14 @@ def write_verify_json(report: RatioReport) -> str:
         for col, value in report_to_dict(report).items()
         if not col.endswith("_time_s")
     }
-    fields = [_fields_text(doc, 2)]
     if report.skip_reason is None:
         with _any_int_digits():
-            rows = [
-                f'''{{
-      "vertex": {w},
-      "lhs": "{lhs.numerator}/{lhs.denominator}",
-      "bound": "{bound.numerator}/{bound.denominator}"
-    }}'''
+            doc["ledger"] = [
+                {"vertex": w, "lhs": f"{lhs.numerator}/{lhs.denominator}",
+                 "bound": f"{bound.numerator}/{bound.denominator}"}
                 for w, (lhs, bound) in enumerate(report.ledger_rows)
             ]
-        fields.append('"ledger": ' + _frame(rows, 2))
-    return _frame(fields, 0, "{}") + "\n"
-
-
-def _fields_text(doc: dict, indent: int) -> str:
-    """The fields of doc, whose values are all scalars, as indent=2 renders
-    them in an object whose fields sit indent spaces deep, without the
-    braces and the first line break.  indent= selects json's pure-Python
-    encoder; the C encoder with indent=2's separators gives the same text."""
-    return json.dumps(doc, separators=(",\n" + " " * indent, ": "))[1:-1]
+    return json.dumps(doc) + "\n"
 
 
 @contextlib.contextmanager

@@ -226,30 +226,32 @@ def run_corpus(entries: list[CorpusEntry], *, max_n: int = DEFAULT_MAX_N) -> lis
     and kdom k=1 unless trivial, or repeated entries) share one run: the
     later ones copy the first one's report with their own mode and k, its
     timing fields included.  Canonical order is (instance_id, mode, k), so
-    output does not depend on entry order.  A spec its generator rejects
-    raises ValueError naming the index of its first entry, as
-    "corpus entry <i>: ...".  Raises ValueError for max_n < 1.
+    output does not depend on entry order.  A ValueError from an entry's
+    run is raised again naming the entry's index, as "corpus entry <i>:
+    ...", and one from a spec's generator names the spec's first entry.
+    Raises ValueError for max_n < 1.
     """
     check_max_n(max_n)
     if not entries:
         raise ValueError("corpus is empty")
-    by_spec: dict[FamilySpec, tuple[int, list[CorpusEntry]]] = {}
+    by_spec: dict[FamilySpec, list[tuple[int, CorpusEntry]]] = {}
     for i, e in enumerate(entries):
-        by_spec.setdefault(e.spec, (i, []))[1].append(e)
+        by_spec.setdefault(e.spec, []).append((i, e))
     reports = []
-    for first, group in by_spec.values():
+    for group in by_spec.values():
+        i, e = group[0]  # i is the entry in hand when a ValueError is raised
         try:
-            g = generate(group[0].spec)
+            g = generate(e.spec)
+            runs: dict[tuple[Mode, int], RatioReport] = {}
+            for i, e in group:
+                key = problem_key(g, e.mode, e.k)
+                if key in runs:
+                    reports.append(replace(runs[key], mode=e.mode, k=e.k))
+                else:
+                    runs[key] = run_entry(e, g, max_n=max_n)
+                    reports.append(runs[key])
         except ValueError as exc:
-            raise ValueError(f"corpus entry {first}: {exc}") from None
-        runs: dict[tuple[Mode, int], RatioReport] = {}
-        for e in group:
-            key = problem_key(g, e.mode, e.k)
-            if key in runs:
-                reports.append(replace(runs[key], mode=e.mode, k=e.k))
-            else:
-                runs[key] = run_entry(e, g, max_n=max_n)
-                reports.append(runs[key])
+            raise ValueError(f"corpus entry {i}: {exc}") from None
     return sorted(reports, key=RatioReport.sort_key)
 
 

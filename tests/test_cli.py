@@ -72,10 +72,7 @@ def test_solve(c6_path, capsys, tmp_path):
     assert list(doc) == ["mode", "k", "size", "chosen", "trivial"]
     assert doc["size"] == len(doc["chosen"])
     assert not doc["trivial"]
-    trace_text = trace.read_text()
-    assert trace_text.startswith('{\n  "mode": "kdom",\n  "k": 2,\n')
-    trace_doc = json.loads(trace_text)
-    assert trace_text == json.dumps(trace_doc, indent=2) + "\n"
+    trace_doc = json.loads(trace.read_text())
     assert list(trace_doc) == [
         "mode", "k", "n", "m", "graph_digest", "trivial", "chosen", "iterations"
     ]
@@ -115,10 +112,7 @@ def test_exact_over_cap(c6_path, capsys):
 def test_verify(c6_path, capsys):
     for mode, k in ((Mode.DOM, 1), (Mode.KTUPLE, 2), (Mode.KDOM, 2)):
         assert main(["verify", c6_path, "--mode", mode.value, "--k", str(k)]) == 0
-        out = capsys.readouterr().out
-        assert f'\n  "mode": "{mode.value}",\n' in out
-        doc = json.loads(out)
-        assert out == json.dumps(doc, indent=2) + "\n"
+        doc = json.loads(capsys.readouterr().out)
         assert list(doc) == [
             "instance", "family", "seed", "n", "m", "max_degree", "min_degree", "mode", "k",
             "greedy_size", "exact_size", "ratio", "bound", "bound_satisfied",
@@ -150,9 +144,7 @@ def test_verify_skip_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "star.dimacs"
     path.write_text(write_dimacs(star))
     assert main(["verify", str(path), "--mode", "ktuple", "--k", "3"]) == 1
-    out = capsys.readouterr().out
-    doc = json.loads(out)
-    assert out == json.dumps(doc, indent=2) + "\n"
+    doc = json.loads(capsys.readouterr().out)
     assert doc["skip_reason"] is not None
     assert "ledger" not in doc
 
@@ -166,9 +158,7 @@ def test_verify_renders_bounds_of_any_size(tmp_path, capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     assert main(["verify", str(path), "--mode", "dom"]) == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-    out = capsys.readouterr().out
-    doc = json.loads(out)
-    assert out == json.dumps(doc, indent=2) + "\n"
+    doc = json.loads(capsys.readouterr().out)
     centre = doc["ledger"][0]
     h = harmonic(10500)
     with _any_int_digits():
@@ -190,9 +180,44 @@ def test_huge_k_is_usage_error(tmp_path, capsys, command):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    where = {"verify": "", "bench": "corpus entry 0: "}[command]
     assert captured.err == (
-        f"error: k={k} needs n * k = {3 * k} arrivals, above the cap of {MAX_VERTICES}\n"
+        f"error: {where}k={k} needs n * k = {3 * k} arrivals, above the cap of {MAX_VERTICES}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,written,code",
+    [
+        (["solve", "C6", "--mode", "kdom", "--k", "2"], "stdout", 0),
+        (["solve", "C6", "--mode", "kdom", "--k", "2", "--trace", "OUT"], "OUT", 0),
+        (["exact", "C6", "--mode", "ktuple", "--k", "2"], "stdout", 0),
+        (["verify", "C6", "--mode", "kdom", "--k", "2"], "stdout", 0),
+        (["verify", "STAR7", "--mode", "ktuple", "--k", "3"], "stdout", 1),
+        (["verify", "STAR10500", "--mode", "dom"], "stdout", 0),
+        (["bench", "--corpus", "CORPUS"], "stdout", 0),
+        (["bench", "--corpus", "CORPUS", "--json", "OUT"], "OUT", 0),
+        (["selfcheck"], "stdout", 0),
+    ],
+    ids=["solve", "solve_trace", "exact", "verify", "verify_skip", "verify_star10500",
+         "bench_summary", "bench_json", "selfcheck"],
+)
+def test_every_json_document_is_json_dumps_of_itself(tmp_path, capsys, argv, written, code):
+    # One style for every document: json.dumps(doc) plus a newline.
+    graphs = {"C6": C6, "STAR7": Graph(7, [(0, i) for i in range(1, 7)]),
+              "STAR10500": Graph(10500, [(0, i) for i in range(1, 10500)])}
+    files = {"OUT": tmp_path / "out.json", "CORPUS": tmp_path / "corpus.json"}
+    files["CORPUS"].write_text(json.dumps([
+        {"spec": {"family": "cycle", "n": 6}, "mode": "dom", "k": 1},
+        {"spec": {"family": "star", "n": 8}, "mode": "ktuple", "k": 3},
+        {"spec": {"family": "erdos_renyi", "n": 10, "p": 0.4, "seed": 2}, "mode": "kdom", "k": 2},
+    ]))
+    for name in set(argv) & set(graphs):
+        files[name] = tmp_path / f"{name}.dimacs"
+        files[name].write_text(write_dimacs(graphs[name]))
+    assert main([str(files.get(a, a)) for a in argv]) == code
+    text = capsys.readouterr().out if written == "stdout" else files[written].read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"
 
 
 def test_bench_custom_corpus(tmp_path, capsys):
@@ -285,11 +310,25 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
         # An int p is stored as a float; one no float holds is an input error.
         ([{"spec": {"family": "erdos_renyi", "n": 4, "p": 10**400, "seed": 0}, "mode": "dom"}],
          "corpus entry 0: p must fit in a float, got an int of 1329 bits"),
+        # A run's error is named by its entry, here not the first of its spec.
+        ([{"spec": {"family": "path", "n": 3}, "mode": "dom"},
+          {"spec": {"family": "cycle", "n": 6}, "mode": "kdom", "k": 2},
+          {"spec": {"family": "path", "n": 3}, "mode": "kdom", "k": 10**11}],
+         "corpus entry 2: k=100000000000 needs n * k = 300000000000 arrivals"),
+        # Not the interpreter's text for a failed lookup, which differs
+        # between Python releases.
+        ([{"spec": {"family": "cycle", "n": 6}, "mode": "dom"}, 5],
+         "corpus entry 1 must be a JSON object, got int\n"),
+        (["x"], "corpus entry 0 must be a JSON object, got str\n"),
+        ([[1]], "corpus entry 0 must be a JSON object, got list\n"),
+        ([None], "corpus entry 0 must be a JSON object, got NoneType\n"),
+        ([{"spec": 5, "mode": "dom"}], "corpus entry 0: spec must be a JSON object, got int\n"),
     ],
     ids=[
         "missing_spec", "unknown_spec_field", "not_a_list", "n_string", "n_list", "n_float",
         "n_bool", "a_float", "b_string", "seed_string", "p_string", "p_bool", "seed_missing",
         "spec_k_float", "k_float", "k_bool", "generator_rejects_spec", "empty", "p_too_large",
+        "run_error", "entry_int", "entry_str", "entry_list", "entry_null", "spec_int",
     ],
 )
 def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):

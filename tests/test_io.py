@@ -378,18 +378,15 @@ def test_solution_dict_round_trip():
     assert doc["mode"] == "kdom"
 
 
-@settings(deadline=None, max_examples=200)
-@given(graphs(max_n=12), st.sampled_from(Mode), st.integers(1, 3))
-@example(generate(FamilySpec("cycle", n=12)), Mode.KDOM, 2)
-def test_trace_matches_indent_2(g, mode, k):
-    # The writer formats the nested fields itself; it must render exactly
-    # what the indent=2 encoder does.
-    if mode is Mode.DOM:
-        k = 1
-    elif mode is Mode.KTUPLE:
-        k = min(k, g.min_degree() + 1)
+@pytest.mark.parametrize("mode,k", [(Mode.DOM, 1), (Mode.KTUPLE, 2), (Mode.KDOM, 2)])
+def test_an_indent_2_trace_still_reads_back(mode, k):
+    # Traces written before the compact style are indent=2 JSON of the same
+    # document, so trace files already on disk keep loading.
+    g = generate(FamilySpec("cycle", n=12))
     sol = solve(g, mode, k)
-    assert write_trace(sol) == json.dumps(solution_to_dict(sol), indent=2) + "\n"
+    doc = json.loads(json.dumps(solution_to_dict(sol), indent=2) + "\n")
+    assert doc == json.loads(write_trace(sol))
+    assert solution_from_dict(doc, g.fingerprint()) == sol
 
 
 def test_trace_lists_tokens_in_vertex_order():
@@ -552,7 +549,7 @@ def test_solution_from_dict_returns_a_solution_or_raises_value_error(data, value
 
 def test_mode_renders_as_its_value():
     assert json.dumps(Mode.KDOM) == '"kdom"'
-    assert json.dumps({"mode": Mode.DOM}, indent=2) == '{\n  "mode": "dom"\n}'
+    assert json.dumps({"mode": Mode.DOM}) == '{"mode": "dom"}'
     assert [str(m) for m in Mode] == [f"{m}" for m in Mode] == ["dom", "ktuple", "kdom"]
     assert Mode("ktuple") is Mode.KTUPLE and Mode.KTUPLE.value == "ktuple"
     assert Mode.DOM == "dom"
@@ -611,22 +608,6 @@ def test_csv_golden():
 def test_csv_empty_reports_is_header_only():
     text = write_report_csv([])
     assert text == ",".join(CSV_COLUMNS) + "\n"
-
-
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), st.sampled_from(Mode)
-)
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.fixed_dictionaries({col: _SCALARS for col in CSV_COLUMNS}), max_size=4))
-@example([])
-def test_json_report_matches_indent_2(columns):
-    # The writer frames C-encoded objects; it must render exactly what the
-    # indent=2 encoder does, the empty list included.
-    reports = [RatioReport(**c) for c in columns]
-    expected = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
-    assert write_report_json(reports) == expected
 
 
 def test_json_report():
