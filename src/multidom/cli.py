@@ -41,6 +41,12 @@ from .harness import (
 from .ledger import check_harmonic_inequalities
 from .solvers import Mode, check_multiplicity, solve
 
+# FamilySpec's field names, and those a corpus spec must give (no default).
+_SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(FamilySpec))
+_SPEC_REQUIRED = tuple(
+    f.name for f in dataclasses.fields(FamilySpec) if f.default is dataclasses.MISSING
+)
+
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; main may be called any number of times in one
@@ -210,8 +216,9 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
     """Corpus document: a list of {"spec": {...FamilySpec fields...},
     "mode": "dom"|"ktuple"|"kdom", "k": int} objects.
 
-    FamilySpec checks the spec's field types, and k must be an int (a bool
-    is not one).  A k that no graph admits (solvers.check_multiplicity) is
+    A spec must give family and no field that FamilySpec lacks, FamilySpec
+    checks the spec's field types, and k must be an int (a bool is not
+    one).  A k that no graph admits (solvers.check_multiplicity) is
     malformed; a k-tuple k above a graph's min_degree + 1 is a skipped
     entry.  Raises ValueError naming the entry index for a malformed
     document, an entry or a spec that is not a JSON object included."""
@@ -224,6 +231,12 @@ def _entries_from_json(doc: object) -> list[CorpusEntry]:
         try:
             if type(spec := item["spec"]) is not dict:
                 raise ValueError(f"spec must be a JSON object, got {type(spec).__name__}")
+            for name in spec:
+                if name not in _SPEC_FIELDS:
+                    raise ValueError(f"spec has unknown field {name!r}")
+            for name in _SPEC_REQUIRED:
+                if name not in spec:
+                    raise ValueError(f"spec is missing field {name!r}")
             spec = FamilySpec(**spec)
             k = item.get("k", 1)
             if type(k) is not int:

@@ -31,6 +31,9 @@ parse(write(g)) == g for every graph.
 Every JSON document (the solve trace, the verify report and the bench
 report) is written as json.dumps(doc) plus a newline: json's C encoder,
 default separators, one line, keys in the order the document is built.
+The bench report is encoded one report at a time and joined with json's
+own ", " item separator inside [...], so only one report dict is alive at
+a time and the bytes equal json.dumps of the whole list.
 """
 
 from __future__ import annotations
@@ -393,7 +396,7 @@ def write_report_csv(reports: Iterable[RatioReport]) -> str:
 
 
 def write_report_json(reports: Iterable[RatioReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports]) + "\n"
+    return "[" + ", ".join(json.dumps(report_to_dict(r)) for r in reports) + "]\n"
 
 
 def write_verify_json(report: RatioReport) -> str:

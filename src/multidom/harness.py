@@ -63,12 +63,12 @@ class RatioReport:
     the size cap).  greedy_iterations is the length of the greedy trace.  A
     report with skip_reason set has no numeric results at all: the
     combination's precondition failed (only k-tuple with k > min_degree + 1
-    in the default corpus).  ledger_rows
-    holds (lhs, bound) of the neighborhood bound for every vertex in id
-    order; it is not a CSV column.  In run_corpus, entries of one spec that
-    pose the same problem (solvers.problem_key) share one run, so their
-    reports differ only in mode and k: greedy_time_s and exact_time_s are
-    that run's times.
+    in the default corpus).  ledger_time_s is the time of build_ledger plus
+    audit.  ledger_rows holds (lhs, bound) of the neighborhood bound for
+    every vertex in id order; it is not a CSV column.  In run_corpus,
+    entries of one spec that pose the same problem (solvers.problem_key)
+    share one run, so their reports differ only in mode and k:
+    greedy_time_s, exact_time_s and ledger_time_s are that run's times.
     """
 
     instance_id: str
@@ -92,6 +92,7 @@ class RatioReport:
     exact_time_s: float | None = None
     nodes_explored: int | None = None
     greedy_iterations: int | None = None
+    ledger_time_s: float | None = None
     ledger_rows: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def sort_key(self) -> tuple[str, Mode, int]:
@@ -152,7 +153,9 @@ def verify_instance(
         greedy_time = time.perf_counter() - t0
     except KOutOfRangeError as exc:
         return RatioReport(**base, skip_reason=str(exc))
+    t0 = time.perf_counter()
     ledger_ok, rows = audit(build_ledger(g, sol))
+    ledger_time = time.perf_counter() - t0
     bound = approximation_bound(mode, g.max_degree(), k)
     exact_fields = {}
     try:
@@ -175,6 +178,7 @@ def verify_instance(
         trivial=sol.trivial,
         greedy_time_s=greedy_time,
         greedy_iterations=len(sol.iterations),
+        ledger_time_s=ledger_time,
         ledger_rows=rows,
         **exact_fields,
     )
@@ -225,10 +229,11 @@ def run_corpus(entries: list[CorpusEntry], *, max_n: int = DEFAULT_MAX_N) -> lis
     spec that pose the same problem (solvers.problem_key: dom, ktuple k=1
     and kdom k=1 unless trivial, or repeated entries) share one run: the
     later ones copy the first one's report with their own mode and k, its
-    timing fields included.  Canonical order is (instance_id, mode, k), so
-    output does not depend on entry order.  A ValueError from an entry's
-    run is raised again naming the entry's index, as "corpus entry <i>:
-    ...", and one from a spec's generator names the spec's first entry.
+    greedy, exact and ledger times included.  Canonical order is
+    (instance_id, mode, k), so output does not depend on entry order.  A
+    ValueError from an entry's run is raised again naming the entry's
+    index, as "corpus entry <i>: ...", and one from a spec's generator
+    names the spec's first entry.
     Raises ValueError for max_n < 1.
     """
     check_max_n(max_n)

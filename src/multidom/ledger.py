@@ -178,13 +178,14 @@ class CostLedger:
         """
         self.graph._check_vertex(w)
         nbrs = self.graph.adjacency[w]
+        arrivals = self.arrivals
         join_w = self.joined[w]
         r: list[int] = []
         i = 0
         while True:
             val = 0
             if join_w > i:
-                val = sum(1 for u in nbrs if self._covered_at(u) > i)
+                val = sum(1 for u in nbrs if arrivals[u][-1] > i)
                 if self._covered_at(w) > i:
                     val += self_gain(self.mode, self.k, bisect_right(self.arrivals[w], i))
             r.append(val)

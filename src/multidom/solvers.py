@@ -235,6 +235,7 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     heap = [(top - s) << shift | v for v, s in enumerate(score)]
     heapq.heapify(heap)
     covered = 0
+    chosen: list[int] = []
     records: list[IterationRecord] = []
     while covered < n:
         key = heap[0]
@@ -244,7 +245,8 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
             key = heap[0]
             best = key & mask
         heapq.heappop(heap)
-        tokens, rec = apply_step(g, mode, k, count, best, len(records) + 1, covered)
+        chosen.append(best)
+        tokens, rec = apply_step(g, mode, k, count, best, len(chosen), covered)
         records.append(rec)
         covered = rec.covered_after
         if covered == n:
@@ -261,12 +263,7 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
             for w in adjacency[u]:
                 score[w] -= 1
     return Solution(
-        mode=mode,
-        k=k,
-        chosen=tuple(rec.vertex for rec in records),
-        iterations=tuple(records),
-        graph_fingerprint=g.fingerprint(),
-        trivial=is_trivial(g, mode, k),
+        mode, k, tuple(chosen), tuple(records), g.fingerprint(), is_trivial(g, mode, k)
     )
 
 
@@ -289,13 +286,14 @@ def apply_step(
         if count[u] == k:
             newly.append(u)
     newly.sort()
+    # Positional, in field order: a keyword call costs more on every step.
     return tokens, IterationRecord(
-        index=index,
-        vertex=v,
-        score=sum(tokens.values()),
-        newly_covered=tuple(newly),
-        tokens_placed=tokens if mode is Mode.KDOM else _NO_TOKENS,
-        covered_after=covered + len(newly),
+        index,
+        v,
+        sum(tokens.values()),
+        tuple(newly),
+        tokens if mode is Mode.KDOM else _NO_TOKENS,
+        covered + len(newly),
     )
 
 

@@ -64,6 +64,33 @@ def covered_at(led, v):
     return led.arrivals[v][-1]
 
 
+def ref_residual_sequence(g, sol, w):
+    """w's greedy score before the first step of sol and after each step,
+    replayed with apply_step on a fresh count array: 0 once w is chosen,
+    otherwise its neighbours short of k arrivals plus its self-gain while it
+    is short itself.  It ends at the first 0, as
+    CostLedger.residual_sequence(w) must."""
+    count = [0] * g.n
+    chosen = set()
+    covered = 0
+    r = []
+    for index in range(len(sol.chosen) + 1):
+        if index:
+            v = sol.chosen[index - 1]
+            chosen.add(v)
+            _, rec = apply_step(g, sol.mode, sol.k, count, v, index, covered)
+            covered = rec.covered_after
+        score = 0
+        if w not in chosen:
+            score = sum(1 for u in g.adjacency[w] if count[u] < sol.k)
+            if count[w] < sol.k:
+                score += self_gain(sol.mode, sol.k, count[w])
+        r.append(score)
+        if score == 0:
+            return tuple(r)
+    raise ValueError(f"vertex {w} still has score {r[-1]} after the last step")
+
+
 def check_subset_cost_bound(ledger, v, subset):
     """True iff v's own coverage charge is at most the charge to subset, in
     shares of ledger.unit: the all-subsets reference of the subset bound.

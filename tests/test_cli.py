@@ -271,7 +271,7 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
         (
             [{"spec": {"family": "cycle", "n": 8}, "mode": "dom"},
              {"spec": {"family": "cycle", "n": 8, "size": 3}, "mode": "dom"}],
-            "corpus entry 1:",
+            "error: corpus entry 1: spec has unknown field 'size'\n",
         ),
         ({"spec": {"family": "cycle", "n": 8}, "mode": "dom"}, "must be a JSON list"),
         # A number of the wrong JSON type is an input error, never a
@@ -323,12 +323,19 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
         ([[1]], "corpus entry 0 must be a JSON object, got list\n"),
         ([None], "corpus entry 0 must be a JSON object, got NoneType\n"),
         ([{"spec": 5, "mode": "dom"}], "corpus entry 0: spec must be a JSON object, got int\n"),
+        # A spec is checked against FamilySpec's fields by name, not through
+        # the interpreter's text for a bad call; an unknown field comes first.
+        ([{"spec": {"n": 8}, "mode": "dom"}],
+         "error: corpus entry 0: spec is missing field 'family'\n"),
+        ([{"spec": {"n": 8, "size": 3}, "mode": "dom"}],
+         "error: corpus entry 0: spec has unknown field 'size'\n"),
     ],
     ids=[
         "missing_spec", "unknown_spec_field", "not_a_list", "n_string", "n_list", "n_float",
         "n_bool", "a_float", "b_string", "seed_string", "p_string", "p_bool", "seed_missing",
         "spec_k_float", "k_float", "k_bool", "generator_rejects_spec", "empty", "p_too_large",
         "run_error", "entry_int", "entry_str", "entry_list", "entry_null", "spec_int",
+        "spec_missing_family", "spec_unknown_before_missing",
     ],
 )
 def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):

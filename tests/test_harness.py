@@ -76,6 +76,7 @@ def test_verify_instance_star_kdom():
     assert report.skip_reason is None
     assert not report.trivial
     assert report.greedy_iterations == len(solve(g, Mode.KDOM, 2).iterations) == 7
+    assert type(report.ledger_time_s) is float and report.ledger_time_s > 0
     upper = solve(g, Mode.KDOM, 2).chosen
     assert report.nodes_explored == exact_minimum(g, Mode.KDOM, 2, upper=upper).nodes_explored
 
@@ -109,6 +110,7 @@ def test_verify_instance_skip():
     assert report.bound_satisfied is None
     assert report.greedy_iterations is None
     assert report.nodes_explored is None
+    assert report.ledger_time_s is None
 
 
 def test_verify_instance_trivial_flag():
@@ -191,7 +193,7 @@ def test_run_corpus_small():
 
 
 def _untimed(report):
-    return dataclasses.replace(report, greedy_time_s=None, exact_time_s=None)
+    return dataclasses.replace(report, greedy_time_s=None, exact_time_s=None, ledger_time_s=None)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +302,16 @@ def test_run_corpus_matches_one_run_per_entry(entries, max_n):
     ]
     expected = [_untimed(r) for r in sorted(per_entry, key=RatioReport.sort_key)]
     assert [_untimed(r) for r in run_corpus(entries, max_n=max_n)] == expected
+
+
+def test_shared_runs_copy_every_time():
+    spec = FamilySpec("cycle", n=5)
+    entries = [CorpusEntry(spec, Mode.DOM, 1), CorpusEntry(spec, Mode.KDOM, 1)]
+    first, second = run_corpus(entries)
+    times = ("greedy_time_s", "exact_time_s", "ledger_time_s")
+    assert (first.mode, second.mode) == (Mode.DOM, Mode.KDOM)
+    assert all(getattr(first, t) is not None for t in times)
+    assert [getattr(first, t) for t in times] == [getattr(second, t) for t in times]
 
 
 def test_run_corpus_names_an_empty_corpus():

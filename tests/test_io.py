@@ -564,6 +564,7 @@ def _sample_reports():
         **base, greedy_size=3, exact_size=3, ratio=1.0, bound=2.0986122886681098,
         bound_satisfied=True, ledger_checks_passed=True,
         greedy_time_s=0.001, exact_time_s=0.002, nodes_explored=5, greedy_iterations=3,
+        ledger_time_s=0.004,
     )
     skip = RatioReport(
         instance_id="star-n8", family="star", seed=None, n=8, m=7,
@@ -578,7 +579,7 @@ def _sample_reports():
 DOCUMENTED_HEADER = (
     "instance_id,family,seed,n,m,max_degree,min_degree,mode,k,greedy_size,exact_size,"
     "ratio,bound,bound_satisfied,ledger_checks_passed,trivial,skip_reason,greedy_time_s,"
-    "exact_time_s,nodes_explored,greedy_iterations"
+    "exact_time_s,nodes_explored,greedy_iterations,ledger_time_s"
 )
 
 
@@ -597,17 +598,27 @@ def test_csv_golden():
     assert full["trivial"] == "false"
     assert full["seed"] == ""
     assert (full["nodes_explored"], full["greedy_iterations"]) == ("5", "3")
-    assert CSV_COLUMNS[-3:] == ("exact_time_s", "nodes_explored", "greedy_iterations")
+    assert full["ledger_time_s"] == "0.004000"
+    assert CSV_COLUMNS[-4:] == (
+        "exact_time_s", "nodes_explored", "greedy_iterations", "ledger_time_s"
+    )
     skip = dict(zip(CSV_COLUMNS, rows[2]))
     assert skip["skip_reason"] == "k out of range"
     assert skip["greedy_size"] == ""
     assert skip["ratio"] == ""
-    assert (skip["nodes_explored"], skip["greedy_iterations"]) == ("", "")
+    assert (skip["nodes_explored"], skip["greedy_iterations"], skip["ledger_time_s"]) == ("",) * 3
 
 
 def test_csv_empty_reports_is_header_only():
     text = write_report_csv([])
     assert text == ",".join(CSV_COLUMNS) + "\n"
+
+
+def test_json_report_is_json_dumps_of_the_list():
+    # Written one report at a time, with the bytes of one json.dumps call.
+    for reports in ([], _sample_reports()[:1], _sample_reports()):
+        expected = json.dumps([report_to_dict(r) for r in reports]) + "\n"
+        assert write_report_json(iter(reports)) == expected
 
 
 def test_json_report():
@@ -619,6 +630,9 @@ def test_json_report():
     assert docs[1]["greedy_size"] is None
     assert (docs[0]["nodes_explored"], docs[0]["greedy_iterations"]) == (5, 3)
     assert docs[1]["nodes_explored"] is None
-    assert list(docs[0])[-3:] == ["exact_time_s", "nodes_explored", "greedy_iterations"]
+    assert (docs[0]["ledger_time_s"], docs[1]["ledger_time_s"]) == (0.004, None)
+    assert list(docs[0])[-4:] == [
+        "exact_time_s", "nodes_explored", "greedy_iterations", "ledger_time_s"
+    ]
     assert set(docs[0]) == set(CSV_COLUMNS)
     assert report_to_dict(_sample_reports()[0])["bound_satisfied"] is True

@@ -40,6 +40,7 @@ from conftest import (
     degree,
     graphs,
     harmonic,
+    ref_residual_sequence,
 )
 
 
@@ -665,6 +666,28 @@ def test_residual_sequences(g):
             assert all(a >= b for a, b in zip(r, r[1:]))
             assert r[-1] == 0
             assert all(x > 0 for x in r[:-1])
+
+
+def _admitted_modes(g):
+    """Every mode with each k it admits on g, k-domination up to the first
+    trivial k, max_degree + 1."""
+    yield Mode.DOM, 1
+    for k in range(1, g.min_degree() + 2):
+        yield Mode.KTUPLE, k
+    for k in range(1, g.max_degree() + 2):
+        yield Mode.KDOM, k
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs(max_n=8))
+def test_residual_sequence_matches_replay(g):
+    # The whole sequence, not only its shape: r_i is w's greedy score after
+    # step i of an apply_step replay of the trace.
+    for mode, k in _admitted_modes(g):
+        sol = solve(g, mode, k)
+        led = build_ledger(g, sol)
+        for w in range(g.n):
+            assert led.residual_sequence(w) == ref_residual_sequence(g, sol, w)
 
 
 @settings(deadline=None, max_examples=40)
