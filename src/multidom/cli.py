@@ -94,10 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "run all checks on one instance"),
     ):
         p = sub.add_parser(name, help=extra)
-        p.add_argument("input", help="graph file, - for stdin")
+        p.add_argument("input", help="graph file (dimacs or edgelist), - for stdin")
         p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
         p.add_argument("--k", type=int, default=1)
-        p.add_argument("--format", default="dimacs", choices=FORMATS)
         if name == "solve":
             p.add_argument("--trace", help="write the full iteration trace to this path")
         if name in ("exact", "verify"):
@@ -209,7 +208,7 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     else:
         with open(args.input) as fh:
             text = fh.read()
-    return parse_graph(text, args.format)
+    return parse_graph(text)
 
 
 def _entries_from_json(doc: object) -> list[CorpusEntry]:

@@ -57,13 +57,13 @@ class ExactResult:
     time_s: float
 
 
-def exact_minimum_naive(g: Graph, mode: Mode, k: int = 1, *, max_n: int = NAIVE_MAX_N) -> ExactResult:
-    """Minimum by subset enumeration in increasing cardinality.
+def exact_minimum_naive(g: Graph, mode: Mode, k: int = 1) -> ExactResult:
+    """Minimum by subset enumeration in increasing cardinality, n <= NAIVE_MAX_N.
 
     Within one cardinality, subsets are tried in lexicographic order, so the
     returned witness is the lexicographically first optimum.
     """
-    _check_instance(g, mode, k, max_n)
+    _check_instance(g, mode, k, NAIVE_MAX_N)
     start = time.perf_counter()
     nodes = 0
     for size in range(g.n + 1):

@@ -1,6 +1,7 @@
 """Graph file formats and report serialization.
 
-Two text formats:
+Two text formats; parse_graph reads an edgelist when the first non-blank
+character is `#` or an ASCII digit, and dimacs otherwise:
 
 * dimacs: `c` comment lines, one `p edge <n> <m>` header, then exactly m
   `e <u> <v>` lines with 1-based endpoints.  The canonical layout that
@@ -84,12 +85,15 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-def parse_graph(text: str, fmt: str) -> Graph:
-    if fmt == "dimacs":
-        return parse_dimacs(text)
-    if fmt == "edgelist":
+_EDGELIST_HEAD = re.compile(r"\s*[#0-9]")  # \s is str.isspace, as in the readers' strip()
+
+
+def parse_graph(text: str) -> Graph:
+    """Read text as an edgelist when its first non-blank character is `#`
+    or an ASCII digit, and as dimacs otherwise."""
+    if _EDGELIST_HEAD.match(text):
         return parse_edge_list(text)
-    raise ValueError(f"unknown format {fmt!r}; known: {', '.join(FORMATS)}")
+    return parse_dimacs(text)
 
 
 def write_graph(g: Graph, fmt: str) -> str:

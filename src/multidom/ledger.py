@@ -57,6 +57,9 @@ from .solvers import Mode, Solution, apply_step, check_k, is_trivial, self_gain
 
 # Float slack of H(x) <= ln(x) + 1, which holds with equality at x = 1.
 LOG_BOUND_TOL = 1e-12
+# The largest top score, max_degree + self_gain(mode, k, 0), of a ledger: unit
+# = lcm(1..top) has about 1.44 * top bits and a residual scan top + 1 steps.
+MAX_SCORE = 1 << 16
 
 
 def lcm_upto(x: int) -> int:
@@ -206,7 +209,8 @@ def build_ledger(g: Graph, sol: Solution) -> CostLedger:
     differs.  Every vertex must end with exactly k arrivals.
 
     The ledger holds n * k arrivals, so a k with n * k above
-    graph.MAX_VERTICES raises ValueError before any of them is stored.
+    graph.MAX_VERTICES raises ValueError before any of them is stored, as
+    then does a top score max_degree + self_gain(mode, k, 0) above MAX_SCORE.
     """
     if sol.graph_fingerprint != g.fingerprint():
         raise ValueError("solution trace does not match this graph")
@@ -214,6 +218,12 @@ def build_ledger(g: Graph, sol: Solution) -> CostLedger:
     if g.n * sol.k > MAX_VERTICES:
         raise ValueError(
             f"k={sol.k} needs n * k = {g.n * sol.k} arrivals, above the cap of {MAX_VERTICES}"
+        )
+    top = g.max_degree() + self_gain(sol.mode, sol.k, 0)
+    if top > MAX_SCORE:
+        raise ValueError(
+            f"k={sol.k} allows scores up to max_degree + self-gain = {top}, "
+            f"above the cap of {MAX_SCORE}"
         )
     if sol.trivial != is_trivial(g, sol.mode, sol.k):
         raise ValueError(f"solution flag trivial={sol.trivial} does not match this instance")

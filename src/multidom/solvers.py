@@ -324,45 +324,36 @@ def is_valid_solution(g: Graph, sol: Solution) -> bool:
 
 def verify_greedy_optimality(g: Graph, sol: Solution) -> bool:
     """Replay the run and confirm every step took a maximal score with the
-    smallest-id tie-break, and that the recorded scores match.
+    smallest-id tie-break, and that the recorded scores and covered counts
+    match.
 
     This is the audit used by tests; it recomputes all candidate scores at
-    each pre-selection state instead of trusting the trace.
+    each pre-selection state from one arrival count per vertex, instead of
+    trusting the trace, and uses neither solve()'s heap nor apply_step().
     """
-    n = g.n
-    hits = [0] * n
-    nbrs_chosen = [0] * n
-    covered: set[int] = set()
-    chosen_set: set[int] = set()
+    mode, k = sol.mode, sol.k
+    try:
+        check_k(g, mode, k)
+    except KOutOfRangeError:
+        return False  # no run of solve() has this (mode, k)
+    count = [0] * g.n
+    chosen: set[int] = set()
     for rec in sol.iterations:
         best, best_score = -1, 0
-        for v in range(n):
-            if v in chosen_set:
+        for v in range(g.n):
+            if v in chosen:
                 continue
-            s = sum(1 for u in g.adjacency[v] if u not in covered)
-            if sol.mode is Mode.KDOM:
-                s += max(sol.k - nbrs_chosen[v], 0)
-            elif v not in covered:
-                s += 1
+            s = sum(1 for u in g.adjacency[v] if count[u] < k)
+            if count[v] < k:
+                s += self_gain(mode, k, count[v])
             if s > best_score:
                 best, best_score = v, s
         if rec.vertex != best or rec.score != best_score:
             return False
-        # Apply the step.
-        chosen_set.add(rec.vertex)
-        if sol.mode is Mode.DOM:
-            covered.update((rec.vertex, *g.adjacency[rec.vertex]))
-        elif sol.mode is Mode.KTUPLE:
-            for u in (rec.vertex, *g.adjacency[rec.vertex]):
-                hits[u] += 1
-                if hits[u] >= sol.k:
-                    covered.add(u)
-        else:
-            covered.add(rec.vertex)
-            for u in g.adjacency[rec.vertex]:
-                nbrs_chosen[u] += 1
-                if nbrs_chosen[u] >= sol.k:
-                    covered.add(u)
-        if rec.covered_after != len(covered):
+        chosen.add(best)
+        for u in (best, *g.adjacency[best]):
+            if count[u] < k:
+                count[u] += self_gain(mode, k, count[u]) if u == best else 1
+        if rec.covered_after != sum(c >= k for c in count):
             return False
-    return len(covered) == n and tuple(sorted(chosen_set)) == tuple(sorted(sol.chosen))
+    return all(c >= k for c in count) and sorted(chosen) == sorted(sol.chosen)

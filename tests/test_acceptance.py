@@ -315,7 +315,7 @@ def test_c12_io_round_trip(corpus_entries, report):
     for spec in specs:
         g = generate(spec)
         for fmt in ("dimacs", "edgelist"):
-            ok = ok and parse_graph(write_graph(g, fmt), fmt) == g
+            ok = ok and parse_graph(write_graph(g, fmt)) == g
         assert ok, f"round trip failed on {spec.instance_id()}"
     report(
         "io-round-trip",

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from multidom import (
     build_ledger,
     check_neighborhood_bound,
     parse_dimacs,
+    parse_edge_list,
     solve,
     write_dimacs,
 )
@@ -87,6 +89,19 @@ def test_solve_from_stdin(monkeypatch, capsys):
     assert main(["solve", "-", "--mode", "dom"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["size"] == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "exact", "verify"])
+def test_generated_edgelist_reads_back_with_no_flag(monkeypatch, capsys, command):
+    import io
+    import sys
+    assert main(["gen", "--family", "star", "--n", "7", "--format", "edgelist"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("# n 7\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main([command, "-", "--mode", "dom"]) == 0
+    size = {"solve": "size", "exact": "optimum", "verify": "greedy_size"}[command]
+    assert json.loads(capsys.readouterr().out)[size] == 1  # the centre
 
 
 def test_solve_k_out_of_range(c6_path, capsys):
@@ -329,13 +344,17 @@ def test_bench_edge_list_graphs_not_needed_for_corpus(tmp_path, capsys):
          "error: corpus entry 0: spec is missing field 'family'\n"),
         ([{"spec": {"n": 8, "size": 3}, "mode": "dom"}],
          "error: corpus entry 0: spec has unknown field 'size'\n"),
+        # Within the n * k cap, a top score max_degree + k above 2**16.
+        ([{"spec": {"family": "path", "n": 3}, "mode": "kdom", "k": 70000}],
+         "error: corpus entry 0: k=70000 allows scores up to max_degree + self-gain = 70002, "
+         "above the cap of 65536\n"),
     ],
     ids=[
         "missing_spec", "unknown_spec_field", "not_a_list", "n_string", "n_list", "n_float",
         "n_bool", "a_float", "b_string", "seed_string", "p_string", "p_bool", "seed_missing",
         "spec_k_float", "k_float", "k_bool", "generator_rejects_spec", "empty", "p_too_large",
         "run_error", "entry_int", "entry_str", "entry_list", "entry_null", "spec_int",
-        "spec_missing_family", "spec_unknown_before_missing",
+        "spec_missing_family", "spec_unknown_before_missing", "top_score",
     ],
 )
 def test_bench_malformed_corpus_is_usage_error(tmp_path, capsys, doc, message):
@@ -372,7 +391,7 @@ def test_duplicate_n_directive_is_usage_error(monkeypatch, capsys):
     import io
     import sys
     monkeypatch.setattr(sys, "stdin", io.StringIO("# n 3\n# n 5\n0 1\n"))
-    assert main(["verify", "-", "--mode", "dom", "--format", "edgelist"]) == 2
+    assert main(["verify", "-", "--mode", "dom"]) == 2
     assert capsys.readouterr().err == "error: line 2: duplicate n directive\n"
 
 
@@ -380,19 +399,23 @@ def test_duplicate_n_directive_is_usage_error(monkeypatch, capsys):
     "argv",
     [
         ["verify", "C6", "--mode", "dom", "--n", "8"],
-        ["solve", "C6", "--mode", "dom", "--format", "edgelist", "--n", "8"],
-        ["exact", "C6", "--mode", "dom", "--format", "edgelist", "--n", "8"],
+        ["solve", "C6", "--mode", "dom", "--n", "8"],
+        ["exact", "C6", "--mode", "dom", "--n", "8"],
+        ["verify", "C6", "--mode", "dom", "--format", "dimacs"],
+        ["solve", "C6", "--mode", "dom", "--format", "edgelist"],
+        ["exact", "C6", "--mode", "dom", "--format", "dimacs"],
         ["selfcheck", "--gap-k-max", "5"],
         ["selfcheck", "--x-max", "100"],
         ["selfcheck", "--delta-max", "100"],
     ],
-    ids=["verify_n", "solve_n", "exact_n", "selfcheck_gap_k_max", "selfcheck_x_max",
-         "selfcheck_delta_max"],
+    ids=["verify_n", "solve_n", "exact_n", "verify_format", "solve_format", "exact_format",
+         "selfcheck_gap_k_max", "selfcheck_x_max", "selfcheck_delta_max"],
 )
 def test_removed_options_are_usage_errors(c6_path, capsys, argv):
-    # The edgelist count comes from its `# n` line or its largest id, and
-    # selfcheck replays the gap witnesses for k = 2..5 and checks the
-    # harmonic pairs and the ratio improvement up to 1000.
+    # The edgelist count comes from its `# n` line or its largest id, the
+    # format from the input's first non-blank character, and selfcheck
+    # replays the gap witnesses for k = 2..5 and checks the harmonic pairs
+    # and the ratio improvement up to 1000.
     with pytest.raises(SystemExit) as exc_info:
         main([c6_path if a == "C6" else a for a in argv])
     assert exc_info.value.code == 2
@@ -420,20 +443,21 @@ def test_integer_forms_beyond_ascii_digits_are_input_errors(monkeypatch, capsys,
     import io
     import sys
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    assert main(["verify", "-", "--mode", "dom", "--format", fmt]) == 2
+    assert main(["verify", "-", "--mode", "dom"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {where}\n"
+    # The text is read by fmt's reader, which the CLI was not told.
+    with pytest.raises(FormatError, match=f"^{re.escape(where)}$"):
+        {"dimacs": parse_dimacs, "edgelist": parse_edge_list}[fmt](text)
 
 
 @pytest.mark.parametrize(
     "argv,text,where",
     [
         (["solve", "-", "--mode", "dom"], f"p edge {MAX_VERTICES + 1} 0\n", "line 1: "),
-        (["solve", "-", "--mode", "dom", "--format", "edgelist"],
-         f"# n {MAX_VERTICES + 1}\n0 1\n", "line 1: "),
-        (["solve", "-", "--mode", "dom", "--format", "edgelist"],
-         f"0 {MAX_VERTICES}\n", "line 2: "),
+        (["solve", "-", "--mode", "dom"], f"# n {MAX_VERTICES + 1}\n0 1\n", "line 1: "),
+        (["solve", "-", "--mode", "dom"], f"0 {MAX_VERTICES}\n", "line 2: "),
         (["gen", "--family", "path", "--n", str(MAX_VERTICES + 1)], "", ""),
     ],
     ids=["dimacs_header", "edgelist_directive", "edgelist_inferred", "gen_path"],
@@ -462,6 +486,10 @@ def test_vertex_cap_is_usage_error(monkeypatch, capsys, argv, text, where):
         (["bench", "--max-n", "0"], "max_n must be >= 1, got 0"),
         (["verify", "C6", "--mode", "dom", "--max-n", "-1"], "max_n must be >= 1, got -1"),
         (["exact", "C6", "--mode", "dom", "--max-n", "0"], "max_n must be >= 1, got 0"),
+        # Within the n * k cap, the ledger's unit and residual scans grow
+        # with the top score max_degree + k, which may not pass 2**16.
+        (["verify", "C6", "--mode", "kdom", "--k", "70000"],
+         "k=70000 allows scores up to max_degree + self-gain = 70002, above the cap of 65536"),
     ],
 )
 def test_out_of_range_limits_are_usage_errors(c6_path, capsys, argv, message):

@@ -84,6 +84,8 @@ def test_size_caps():
         exact_minimum(big, Mode.DOM, upper=[])
     with pytest.raises(InstanceTooLargeError):
         exact_minimum_naive(Graph(9, []), Mode.DOM)
+    with pytest.raises(TypeError):  # the naive cap is fixed at 8
+        exact_minimum_naive(Graph(9, []), Mode.DOM, max_n=9)
 
 
 def test_k_range_errors():

@@ -354,11 +354,42 @@ def test_edge_list_names_the_first_edge_past_a_later_count():
 def test_format_dispatch():
     g = Graph(3, [(0, 1)])
     for fmt in ("dimacs", "edgelist"):
-        assert parse_graph(write_graph(g, fmt), fmt) == g
+        assert parse_graph(write_graph(g, fmt)) == g
     with pytest.raises(ValueError):
         write_graph(g, "gml")
-    with pytest.raises(ValueError):
-        parse_graph("", "gml")
+    with pytest.raises(TypeError):  # the text names its own format
+        parse_graph(write_dimacs(g), "dimacs")
+
+
+def _read(parse, text):
+    """parse(text), or the text of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.text(alphabet=" \t\r\n\x0b\u2028#09-cpen\u0663", max_size=12),
+    graphs(max_n=6),
+    st.sampled_from((None, "dimacs", "edgelist")),
+)
+@example("", Graph(1), None)
+@example(" \n\t", Graph(1), None)
+@example("\u2028\n", Graph(2, [(0, 1)]), "edgelist")
+@example("0 1\n", Graph(1), None)
+@example("\u0663 1\n", Graph(1), None)
+@example("-1 2\n", Graph(1), None)
+def test_parse_graph_reads_the_format_its_head_names(head, g, fmt):
+    # An edgelist when the first non-blank character is `#` or an ASCII
+    # digit, dimacs otherwise: the same graph or the same error text.
+    text = head + (write_graph(g, fmt) if fmt else "")
+    first = text.lstrip()[:1]
+    reader = parse_edge_list if first in tuple("#0123456789") else parse_dimacs
+    assert _read(parse_graph, text) == _read(reader, text)
+    if fmt:
+        assert parse_graph(write_graph(g, fmt)) == g
 
 
 @settings(deadline=None, max_examples=50)

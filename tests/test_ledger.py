@@ -296,6 +296,18 @@ def test_build_ledger_rejects_inadmissible_k():
         build_ledger(C6, dataclasses.replace(sol, mode=Mode.DOM))
 
 
+@pytest.mark.parametrize(
+    "g,mode,k", [(path(3), Mode.KDOM, 65535), (star(65536), Mode.DOM, 1)], ids=["k", "degree"]
+)
+def test_build_ledger_caps_the_top_score(g, mode, k):
+    # Within the n * k cap, the top score max_degree + self_gain one past
+    # 2**16 is refused before the unit lcm(1..top) is computed.
+    top = g.max_degree() + self_gain(mode, k, 0)
+    assert top == (1 << 16) + 1
+    with pytest.raises(ValueError, match=f"= {top}, above the cap of 65536$"):
+        build_ledger(g, solve(g, mode, k))
+
+
 def _scanned_cost(sol, led, v, w):
     """_ref_cost(led, v, w) by scanning v's arrivals for one that w caused."""
     for it in led.arrivals[v]:
@@ -553,6 +565,21 @@ def test_non_greedy_trace_fails_the_score_step():
     assert check_residual_decomposition(led, 1, lhs) is False
     assert audit(led)[0] is False
     assert verify_greedy_optimality(g, sol) is False
+
+
+def test_rising_residual_fails_the_decomposition():
+    # Four arrivals at iteration 1 leave vertex 1 of C6 (k = 2) a self-gain
+    # of 2 - 4 until its fifth arrival at iteration 3, so its residual falls
+    # to -2 and then rises to 0.  With the lhs the first fact accepts, every
+    # other comparison passes, and only the rise rejects the ledger.
+    led = build_ledger(C6, solve(C6, Mode.KDOM, 2))
+    forged = dataclasses.replace(
+        led, arrivals=(led.arrivals[0], (1, 1, 1, 1, 3), *led.arrivals[2:])
+    )
+    r = forged.residual_sequence(1)
+    assert r == (4, -1, -2, 0)
+    lhs = sum((a - b) * sh for a, b, sh in zip(r, r[1:], forged.shares))
+    assert check_residual_decomposition(forged, 1, lhs) is False
 
 
 # -- property checks over random runs ------------------------------------------

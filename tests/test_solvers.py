@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -108,6 +109,25 @@ def test_kdom_trivial_case():
 def test_kdom_non_trivial_has_no_flag():
     assert not solve(star(6), Mode.KDOM, 2).trivial
     assert not solve(cycle(5), Mode.KDOM, 2).trivial
+
+
+def test_replay_reads_k_and_covered_after_from_the_trace():
+    g = cycle(6)
+    sol = solve(g, Mode.DOM)
+    assert verify_greedy_optimality(g, sol)
+    # Plain domination has no k = 2, whether a dom trace is relabelled or a
+    # 2-tuple trace, which the arrival rule would replay, is labelled dom.
+    assert not verify_greedy_optimality(g, dataclasses.replace(sol, k=2))
+    pairs = solve(g, Mode.KTUPLE, 2)
+    assert verify_greedy_optimality(g, pairs)
+    assert not verify_greedy_optimality(g, dataclasses.replace(pairs, mode=Mode.DOM))
+    # The first pick covers three vertices, and the replay counts them.
+    first = sol.iterations[0]
+    assert first.covered_after == 3
+    forged = dataclasses.replace(first, covered_after=2)
+    assert not verify_greedy_optimality(
+        g, dataclasses.replace(sol, iterations=(forged, *sol.iterations[1:]))
+    )
 
 
 @pytest.mark.parametrize("mode,k", [(Mode.DOM, 1), (Mode.KTUPLE, 2)])
