@@ -6,7 +6,8 @@ verify (greedy + ledger checks + oracle + bound on one instance), bench
 
 Results go to stdout as JSON documents; graph output goes to --output or
 stdout.  Exit status: 0 when everything requested passed, 1 when any check
-failed, 2 for usage or input errors.
+failed or the reader of stdout exited before the output was written (then
+nothing is printed), 2 for usage or input errors.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from .exact import DEFAULT_MAX_N, exact_minimum
@@ -64,6 +66,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # The reader of stdout has exited, so no command of ours failed: say
+        # nothing, and send what is left, the final flush too, to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # every error class of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

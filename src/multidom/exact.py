@@ -172,10 +172,10 @@ class _Search:
     def __init__(self, g: Graph, mode: Mode, k: int):
         self.g = g
         self.k = k
-        self.kdom = mode is Mode.KDOM
         self.nodes = 0
         # Choosing u gives one arrival to each neighbor and self_gain(mode, k,
-        # 0) to u itself, so v is satisfied iff count[v] >= k.
+        # 0) to u itself, so v is satisfied iff count[v] >= k; an undecided v
+        # settles itself with one pick iff self_gain >= k - count[v].
         self.self_gain = self_gain(mode, k, 0)
         # The most arrivals one pick can give towards the count[v] >= k
         # goals: one to each of at most max_degree neighbors and self_gain to
@@ -207,14 +207,14 @@ class _Search:
         k = self.k
         count = self.count
         providers = self.providers
-        kdom = self.kdom
+        gain = self.self_gain
         rest = unsat
         if budget == 1:
             # One pick left: it must settle each unsatisfied v alone, so it
-            # is a provider of v when v lacks one arrival, or v itself under
-            # k-domination.  The search would try its branch vertex's
-            # undecided providers in id order and reach the lowest such pick
-            # first, so that pick is its answer too.
+            # is a provider of v when v lacks one arrival, or else v itself
+            # when its self-gain covers what it lacks.  The search would try
+            # its branch vertex's undecided providers in id order and reach
+            # the lowest such pick first, so that pick is its answer too.
             settle = undecided
             while rest and settle:
                 bit = rest & -rest
@@ -222,7 +222,7 @@ class _Search:
                 v = bit.bit_length() - 1
                 if count[v] == k - 1:
                     settle &= providers[v]
-                elif kdom:
+                elif gain >= k - count[v]:
                     settle &= bit
                 else:
                     return None
@@ -241,9 +241,9 @@ class _Search:
             n_avail = avail.bit_count()
             deficit = k - count[v]
             open_deficit += deficit
-            # An undecided v under k-domination can settle itself with one
-            # pick; every other v needs deficit more picks among avail.
-            if not (kdom and undecided & bit) and (n_avail < deficit or deficit > budget):
+            # An undecided v whose self-gain covers its deficit can settle
+            # itself with one pick; any other v needs deficit more in avail.
+            if not (undecided & bit and gain >= deficit) and (n_avail < deficit or deficit > budget):
                 return None
             if n_avail < fewest:
                 fewest, branch_bit, branch_avail, branch_deficit = n_avail, bit, avail, deficit
@@ -257,16 +257,16 @@ class _Search:
         ubit = branch_avail & -branch_avail
         u = ubit.bit_length() - 1
         # Excluding u leaves the branch vertex fewest - 1 providers, so that
-        # child is dead when it needs them all, unless, under k-domination,
-        # it is undecided and is not u: then it can still settle itself.
+        # child is dead when it needs them all, unless the branch vertex is
+        # undecided, is not u, and can settle itself.
         dead_exclude = branch_deficit >= fewest and not (
-            kdom and undecided & branch_bit and ubit != branch_bit
+            undecided & branch_bit and ubit != branch_bit and gain >= branch_deficit
         )
         # Include u.
         chosen = self.chosen
         row = self.g.adjacency[u]
         chosen.append(u)
-        count[u] += self.self_gain
+        count[u] += gain
         left = unsat & ~ubit if count[u] >= k else unsat
         for w in row:
             count[w] += 1
@@ -274,7 +274,7 @@ class _Search:
                 left ^= 1 << w
         found = self._dfs(budget - 1, undecided ^ ubit, left)
         chosen.pop()
-        count[u] -= self.self_gain
+        count[u] -= gain
         for w in row:
             count[w] -= 1
         if found is not None or dead_exclude:

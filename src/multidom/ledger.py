@@ -167,11 +167,6 @@ class CostLedger:
         object.__setattr__(self, "shares", tuple(map(by_score.__getitem__, self.scores)))
         object.__setattr__(self, "harmonics", hs)
 
-    def _covered_at(self, v: int) -> int:
-        """Iteration at which v's requirement became fully satisfied; v is
-        not range-checked, so callers check it first."""
-        return self.arrivals[v][-1]
-
     def residual_sequence(self, w: int) -> tuple[int, ...]:
         """w's greedy score after each iteration: r_0 >= r_1 >= ... >= r_m = 0.
 
@@ -182,6 +177,8 @@ class CostLedger:
         self.graph._check_vertex(w)
         nbrs = self.graph.adjacency[w]
         arrivals = self.arrivals
+        arrivals_w = arrivals[w]
+        covered_w = arrivals_w[-1]  # the iteration that completed w
         join_w = self.joined[w]
         r: list[int] = []
         i = 0
@@ -189,8 +186,8 @@ class CostLedger:
             val = 0
             if join_w > i:
                 val = sum(1 for u in nbrs if arrivals[u][-1] > i)
-                if self._covered_at(w) > i:
-                    val += self_gain(self.mode, self.k, bisect_right(self.arrivals[w], i))
+                if covered_w > i:
+                    val += self_gain(self.mode, self.k, bisect_right(arrivals_w, i))
             r.append(val)
             if val == 0:
                 return tuple(r)

@@ -25,13 +25,12 @@ all of V chosen, when k > max_degree (is_trivial()).
 
 solve() keeps every vertex's score current and finds each pick with a lazy
 max-heap (the accelerated greedy of Minoux, 1978) instead of scanning every
-vertex.  After each step a vertex's self-gain falls by the arrivals it took
-(k-domination) or by 1 once it is covered (otherwise), and every neighbour
-of a newly covered vertex loses 1.  Each vertex is newly covered once and a
-step's arrivals land in one closed neighbourhood, so a run makes O(m + n)
-such updates.  A heap inspection compares the top key with the current
-score in O(1) and re-inserts the vertex with its current score while the
-key is stale.  Two facts make this pick exactly what a full scan would:
+vertex.  A score is the number of the vertex's neighbours short of k
+arrivals, kept by one decrement per covered neighbour (O(m) a run), plus
+the self term min(k - count, self_gain(mode, k, 0)), 0 once it is covered.
+A heap inspection reads that score in O(1), compares it with the top key
+and re-inserts the vertex with its current score while the key is stale.
+Two facts make this pick exactly what a full scan would:
 
 * a score never rises, since counts only grow and a chosen vertex leaves
   the heap, so no stored score is below the true one;
@@ -42,9 +41,9 @@ key is stale.  Two facts make this pick exactly what a full scan would:
   top - (key >> shift), is fresh has the maximum score and the smallest id
   among those that have it.  heapq then compares ints, not tuples.
 
-A key goes stale only when its score falls, so a run re-inserts at most once
-per score update, O(m + n) times at O(log n) each, where the scan cost
-O(m + n) per pick.
+A key goes stale only when its score falls, by a neighbour's coverage or an
+arrival at the vertex, so a run re-inserts O(m + n) times at O(log n) each,
+where the scan cost O(m + n) per pick.
 verify_greedy_optimality() keeps the full scan as the independent reference.
 
 The trace records enough state (scores, newly covered vertices and, for
@@ -204,7 +203,8 @@ def problem_key(g: Graph, mode: Mode, k: int) -> tuple[Mode, int]:
 
 def self_gain(mode: Mode, k: int, count: int) -> int:
     """Arrivals an uncovered vertex with count arrivals gives itself when
-    chosen: all k - count it lacks for k-domination, one otherwise."""
+    chosen: all k - count it lacks for k-domination, one otherwise.  For
+    0 <= count < k that is min(k - count, self_gain(mode, k, 0))."""
     return k - count if mode is Mode.KDOM else 1
 
 
@@ -213,55 +213,48 @@ def solve(g: Graph, mode: Mode, k: int = 1) -> Solution:
     choose the unchosen vertex whose choice causes the most arrivals that
     still count, breaking ties toward the smallest id.
 
-    score[v] is kept current after every step, and candidates sit in a lazy
-    min-heap of one-int keys (top - score) << shift | v, where top is the
-    largest initial score and v < 2 ** shift.  A top key whose score differs
-    from the current one goes back with that score; otherwise its vertex is
-    taken, which the module docstring shows is the pick a full scan would
-    make.
+    short[v], the number of v's neighbours short of k arrivals, is kept
+    current after every step, and v's score is short[v] + min(k - count[v],
+    self_gain(mode, k, 0)).  Candidates sit in a lazy min-heap of one-int
+    keys (top - score) << shift | v, where top is the largest initial score
+    and v < 2 ** shift.  A top key whose score differs from the current one
+    goes back with that score; otherwise its vertex is taken, which the
+    module docstring shows is the pick a full scan would make.
 
     Raises KOutOfRangeError when check_k rejects k.
     """
     check_k(g, mode, k)
-    kdom = mode is Mode.KDOM
     n = g.n
     adjacency = g.adjacency
     count = [0] * n  # arrivals that counted, so never above k
+    short = [len(row) for row in adjacency]  # neighbours short of k arrivals
     gain0 = self_gain(mode, k, 0)
-    score = [len(row) + gain0 for row in adjacency]
-    top = max(score)
+    top = max(short) + gain0
     shift = n.bit_length()  # so every id fits below the shift
     mask = (1 << shift) - 1
-    heap = [(top - s) << shift | v for v, s in enumerate(score)]
+    heap = [(top - s - gain0) << shift | v for v, s in enumerate(short)]
     heapq.heapify(heap)
     covered = 0
     chosen: list[int] = []
     records: list[IterationRecord] = []
     while covered < n:
-        key = heap[0]
-        best = key & mask
-        while score[best] != top - (key >> shift):
-            heapq.heapreplace(heap, (top - score[best]) << shift | best)
+        while True:
             key = heap[0]
             best = key & mask
+            score = short[best] + min(k - count[best], gain0)
+            if score == top - (key >> shift):
+                break
+            heapq.heapreplace(heap, (top - score) << shift | best)
         heapq.heappop(heap)
         chosen.append(best)
-        tokens, rec = apply_step(g, mode, k, count, best, len(chosen), covered)
+        _, rec = apply_step(g, mode, k, count, best, len(chosen), covered)
         records.append(rec)
         covered = rec.covered_after
         if covered == n:
             break  # no pick follows, so no score is read again
-        # A vertex's self-gain falls by its arrivals (kdom) or by 1 when it
-        # is covered; each neighbour of a newly covered vertex loses 1.
-        if kdom:
-            for u, c in tokens.items():
-                score[u] -= c
-        else:
-            for u in rec.newly_covered:
-                score[u] -= 1
         for u in rec.newly_covered:
             for w in adjacency[u]:
-                score[w] -= 1
+                short[w] -= 1
     return Solution(
         mode, k, tuple(chosen), tuple(records), g.fingerprint(), is_trivial(g, mode, k)
     )

@@ -332,6 +332,19 @@ WORST_RATIO_UP_TO_5 = {
     (Mode.KDOM, 2): Fraction(3, 2),
     (Mode.KDOM, 3): Fraction(5, 3),
 }
+# The same per max degree: (mode, k, Δ) -> worst greedy/OPT over those of
+# the graphs with max_degree Δ.  k-tuple k needs Δ >= k - 1.
+WORST_RATIO_UP_TO_5_BY_DEGREE = {
+    (Mode.DOM, 1, 0): 1, (Mode.DOM, 1, 1): 1, (Mode.DOM, 1, 2): Fraction(3, 2),
+    (Mode.DOM, 1, 3): 1, (Mode.DOM, 1, 4): 1,
+    (Mode.KTUPLE, 2, 1): 1, (Mode.KTUPLE, 2, 2): Fraction(5, 4),
+    (Mode.KTUPLE, 2, 3): Fraction(4, 3), (Mode.KTUPLE, 2, 4): 1,
+    (Mode.KTUPLE, 3, 2): 1, (Mode.KTUPLE, 3, 3): Fraction(5, 4), (Mode.KTUPLE, 3, 4): 1,
+    (Mode.KDOM, 2, 0): 1, (Mode.KDOM, 2, 1): 1, (Mode.KDOM, 2, 2): Fraction(3, 2),
+    (Mode.KDOM, 2, 3): Fraction(3, 2), (Mode.KDOM, 2, 4): Fraction(3, 2),
+    (Mode.KDOM, 3, 0): 1, (Mode.KDOM, 3, 1): 1, (Mode.KDOM, 3, 2): 1,
+    (Mode.KDOM, 3, 3): Fraction(5, 3), (Mode.KDOM, 3, 4): Fraction(5, 3),
+}
 
 
 def test_c13_every_labelled_graph_up_to_5(report):
@@ -339,6 +352,7 @@ def test_c13_every_labelled_graph_up_to_5(report):
     # order, so this covers every fixed tie-break of these sizes.
     graphs = runs = 0
     worst = dict.fromkeys(WORST_RATIO_UP_TO_5, Fraction(0))
+    by_degree = {}
     for n in range(1, 6):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
@@ -355,11 +369,19 @@ def test_c13_every_labelled_graph_up_to_5(report):
                 opt = exact_minimum(g, mode, k, upper=sol.chosen).optimum
                 assert opt == exact_minimum_naive(g, mode, k).optimum, (n, mask, mode, k)
                 assert sol.size <= approximation_bound(mode, g.max_degree(), k) * opt
-                worst[mode, k] = max(worst[mode, k], Fraction(sol.size, opt))
-    ok = (graphs, runs) == (1099, 4375) and worst == WORST_RATIO_UP_TO_5
+                ratio = Fraction(sol.size, opt)
+                worst[mode, k] = max(worst[mode, k], ratio)
+                key = (mode, k, g.max_degree())
+                by_degree[key] = max(by_degree.get(key, ratio), ratio)
+    ok = (
+        (graphs, runs) == (1099, 4375)
+        and worst == WORST_RATIO_UP_TO_5
+        and by_degree == WORST_RATIO_UP_TO_5_BY_DEGREE
+    )
     report(
         "every-labelled-graph-n<=5",
         ok,
         f"{graphs} graphs, {runs} runs: trace round trip, audit, both oracles, bound; "
-        f"worst greedy/OPT {', '.join(f'{m} k={k} {r}' for (m, k), r in worst.items())}",
+        f"worst greedy/OPT {', '.join(f'{m} k={k} {r}' for (m, k), r in worst.items())}, "
+        f"and per max degree, {len(by_degree)} (mode, k, max degree) pins",
     )

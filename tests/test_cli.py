@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -594,3 +595,26 @@ def test_usage_error_and_help_leave_the_next_call_as_in_a_fresh_process(c6_path,
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out == fresh
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "cycle", "--n", "6"],
+        ["gen", "--family", "erdos_renyi", "--n", "2000", "--p", "0.005", "--seed", "1"],
+    ],
+)
+def test_a_reader_gone_before_output_is_quiet_and_exits_1(argv):
+    # The read end is closed before the child writes, as when the command
+    # after `|` has already exited: that is no error of gen's to report.
+    src = str(Path(cli.__file__).parents[1])
+    script = f"import sys; sys.path.insert(0, {src!r}); from multidom.cli import main; sys.exit(main({argv!r}))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", script], stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")

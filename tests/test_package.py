@@ -62,6 +62,50 @@ def test_modules_import_only_earlier_layers(name):
     assert not later, f"multidom.{name} imports {later}, not before it in {LAYER_ORDER}"
 
 
+# The only functions that may name a Mode member.  Everywhere else the
+# variant is read through solvers.self_gain, or passed on as a value.
+MODE_MEMBER_SITES = {
+    "solvers": {
+        "check_k", "check_multiplicity", "is_trivial", "problem_key", "self_gain",
+        "apply_step",  # the trace's tokens_placed format
+    },
+    "harness": {"default_corpus"},
+}
+
+
+def _mode_member_uses(module):
+    """(qualified name of the enclosing def or class, line) for each
+    Mode.DOM, Mode.KTUPLE or Mode.KDOM in the module's code."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "Mode"
+                and child.attr in ("DOM", "KTUPLE", "KDOM")
+            ):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(inspect.getsource(module)), None)
+    return found
+
+
+@pytest.mark.parametrize("name", LAYER_ORDER)
+def test_mode_members_are_named_only_where_the_variant_is_defined(name):
+    allowed = MODE_MEMBER_SITES.get(name, set())
+    uses = _mode_member_uses(importlib.import_module(f"multidom.{name}"))
+    stray = [(scope, line) for scope, line in uses if scope not in allowed]
+    assert not stray, f"multidom.{name} names a Mode member at {stray}; read self_gain instead"
+    # Each listed site does name one, so the walk finds them and the list stays tight.
+    assert {scope for scope, _ in uses} == allowed
+
+
 def test_import_loads_no_process_pool_or_logging():
     # threading is left out: site already loads it on some interpreters.
     src = str(Path(multidom.__file__).parents[1])

@@ -16,6 +16,7 @@ from multidom import (
     default_corpus,
     generate,
     is_valid_solution,
+    self_gain,
     solution_from_dict,
     solution_to_dict,
     solve,
@@ -307,6 +308,14 @@ def test_problem_key():
     for mode, k in (("bogus", 1), ("kdom", 1), ("kdom", 2)):
         with pytest.raises(ValueError, match="unknown mode"):
             problem_key(g, mode, k)
+
+
+def test_self_gain_is_the_gain_at_zero_capped_by_the_deficit():
+    # solve() and the exact search read the self term in this form.
+    for mode in Mode:
+        for k in range(1, 7):
+            for count in range(k):
+                assert self_gain(mode, k, count) == min(k - count, self_gain(mode, k, 0))
 
 
 def _admissible_runs(g):
