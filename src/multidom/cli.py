@@ -66,14 +66,28 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except BrokenPipeError:
-        # The reader of stdout has exited, so no command of ours failed: say
-        # nothing, and send what is left, the final flush too, to devnull.
+    except _ReaderGone:
+        # No command of ours failed: say nothing, and send what is left in
+        # the buffer to devnull, where the exit-time flush writes it.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OSError) as exc:  # every error class of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+class _ReaderGone(Exception):
+    """The reader of stdout exited before the output was written."""
+
+
+def _emit(text: str) -> None:
+    """Write text to stdout and flush it, so that a reader that has exited
+    is seen here, not at the exit-time flush after main has returned."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise _ReaderGone from None
 
 
 @functools.cache
@@ -126,7 +140,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     text = write_graph(generate(spec), args.format)
     if args.output == "-":
-        sys.stdout.write(text)
+        _emit(text)
     else:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -139,7 +153,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(write_trace(sol))
-    print(
+    _emit(
         json.dumps(
             {
                 "mode": sol.mode,
@@ -149,6 +163,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "trivial": sol.trivial,
             }
         )
+        + "\n"
     )
     return 0
 
@@ -156,7 +171,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     result = exact_minimum(g, Mode(args.mode), args.k, max_n=args.max_n)
-    print(json.dumps(dataclasses.asdict(result)))
+    _emit(json.dumps(dataclasses.asdict(result)) + "\n")
     return 0
 
 
@@ -166,7 +181,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     check_multiplicity(Mode(args.mode), args.k)
     g = _read_graph(args)
     report = verify_instance(g, Mode(args.mode), args.k, max_n=args.max_n)
-    sys.stdout.write(write_verify_json(report))
+    _emit(write_verify_json(report))
     passed = (
         report.skip_reason is None
         and report.ledger_checks_passed is True
@@ -190,7 +205,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             fh.write(write_report_json(reports))
     summary = summarize(reports)
     status = "pass" if summary.all_passed else "fail"
-    print(json.dumps({**dataclasses.asdict(summary), "status": status}))
+    _emit(json.dumps({**dataclasses.asdict(summary), "status": status}) + "\n")
     return 0 if summary.all_passed else 1
 
 
@@ -205,7 +220,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         gap_ok = gap_ok and gap_witness_check(g, k).holds
     checks["gap_witness"] = gap_ok
     status = all(checks.values())
-    print(json.dumps({**checks, "status": "pass" if status else "fail"}))
+    _emit(json.dumps({**checks, "status": "pass" if status else "fail"}) + "\n")
     return 0 if status else 1
 
 

@@ -597,24 +597,51 @@ def test_usage_error_and_help_leave_the_next_call_as_in_a_fresh_process(c6_path,
         assert capsys.readouterr().out == fresh
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",
     [
         ["gen", "--family", "cycle", "--n", "6"],
         ["gen", "--family", "erdos_renyi", "--n", "2000", "--p", "0.005", "--seed", "1"],
+        ["solve", "C6", "--mode", "dom"],
     ],
 )
-def test_a_reader_gone_before_output_is_quiet_and_exits_1(argv):
+def test_a_reader_gone_before_output_is_quiet_and_exits_1(argv, unbuffered, c6_path):
     # The read end is closed before the child writes, as when the command
     # after `|` has already exited: that is no error of gen's to report.
+    # Block-buffered, a short output would reach the pipe only at exit.
+    argv = [c6_path if a == "C6" else a for a in argv]
     src = str(Path(cli.__file__).parents[1])
     script = f"import sys; sys.path.insert(0, {src!r}); from multidom.cli import main; sys.exit(main({argv!r}))"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run(
-            [sys.executable, "-c", script], stdout=write_end, stderr=subprocess.PIPE, text=True
+            [sys.executable, "-c", script],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
         )
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_a_broken_pipe_on_a_named_output_is_an_error(tmp_path, monkeypatch, capsys):
+    # Only a reader of stdout that has gone is quiet; a named file whose
+    # write breaks is reported like any other write error.
+    class Broken:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Broken(), raising=False)
+    argv = ["gen", "--family", "cycle", "--n", "6", "--output", str(tmp_path / "c6")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 32] Broken pipe\n")
