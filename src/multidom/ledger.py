@@ -29,7 +29,11 @@ checks therefore compare exact Python ints, shares of unit; a Fraction is
 built only for the rows audit() returns, and floats only appear when
 comparing harmonic numbers against logarithms.
 audit() runs the sum identity and every vertex's neighborhood bound in one
-pass.
+pass.  A vertex never chosen takes, for each neighbor, the share of the
+iteration that completed it, so its row is one sum over the ledger's
+done_shares table; the ledger therefore refuses, with ValueError, arrivals
+or joined rows that are not one per vertex and a vertex whose arrivals are
+empty or end after the last iteration.
 """
 
 from __future__ import annotations
@@ -131,10 +135,13 @@ class CostLedger:
 
     unit = lcm(1..max_degree + self_gain(mode, k, 0)), shares[i-1] =
     unit // scores[i-1], so one arrival of iteration i costs shares[i-1] /
-    unit exactly, and harmonics[x] = unit * H(x) for each x = deg(w) +
-    self_gain(mode, k, 0).  All three are derived from scores and the graph,
-    never passed in; a score outside 1..max_degree + self_gain(mode, k, 0),
-    which no greedy step can have, raises ValueError.
+    unit exactly, done_shares[v] = shares[arrivals[v][-1] - 1] is the share
+    of the iteration that completed v, and harmonics[x] = unit * H(x) for
+    each x = deg(w) + self_gain(mode, k, 0).  All four are derived from
+    scores, arrivals and the graph, never passed in.  ValueError is raised,
+    as no greedy run can give them, for a score outside 1..max_degree +
+    self_gain(mode, k, 0), for arrivals or joined not of length n, and for
+    a vertex whose arrivals are empty or end after the last iteration.
 
     The one charge rule: v's own coverage costs a share per arrival, and w
     in N[v] is charged for it a share of iteration min(joined[w],
@@ -149,6 +156,7 @@ class CostLedger:
     joined: tuple[int, ...]
     unit: int = field(init=False, repr=False)
     shares: tuple[int, ...] = field(init=False, repr=False)
+    done_shares: tuple[int, ...] = field(init=False, repr=False, compare=False)
     harmonics: dict[int, int] = field(init=False, repr=False, compare=False)  # a dict: not hashed
 
     def __post_init__(self) -> None:
@@ -157,14 +165,25 @@ class CostLedger:
         for i, s in enumerate(self.scores, start=1):
             if not 1 <= s <= top:
                 raise ValueError(f"iteration {i} has score {s} outside 1..{top}")
+        n, m = self.graph.n, len(self.scores)
+        for name, rows in (("arrivals", self.arrivals), ("joined", self.joined)):
+            if len(rows) != n:
+                raise ValueError(f"{name} has {len(rows)} rows for {n} vertices")
+        for v, row in enumerate(self.arrivals):
+            if not row:
+                raise ValueError(f"vertex {v} has no arrivals")
+            if row[-1] > m:
+                raise ValueError(f"vertex {v} has last arrival {row[-1]} after iteration {m}")
         unit = lcm_upto(top)
         # One int per distinct score, shared by every iteration that has it.
         by_score = {s: unit // s for s in set(self.scores)}
+        shares = tuple(map(by_score.__getitem__, self.scores))
         # One pass up to top, keeping only the x values some bound reads.
         needed = {len(row) + gain for row in self.graph.adjacency}
         hs = {x: h for x, h in enumerate(scaled_harmonics(unit, top)) if x in needed}
         object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "shares", tuple(map(by_score.__getitem__, self.scores)))
+        object.__setattr__(self, "shares", shares)
+        object.__setattr__(self, "done_shares", tuple(shares[row[-1] - 1] for row in self.arrivals))
         object.__setattr__(self, "harmonics", hs)
 
     def residual_sequence(self, w: int) -> tuple[int, ...]:
@@ -298,7 +317,12 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[int, int]:
     shares, arrivals = ledger.shares, ledger.arrivals
     join_w = ledger.joined[w]
     gain = self_gain(ledger.mode, ledger.k, 0)
-    lhs = sum(shares[min(join_w, arrivals[v][-1]) - 1] for v in g.adjacency[w])
+    if join_w > len(shares):
+        # w was never chosen: no arrival ends after the last iteration, so
+        # each neighbor's min is its completion iteration.
+        lhs = sum(map(ledger.done_shares.__getitem__, g.adjacency[w]))
+    else:
+        lhs = sum(shares[min(join_w, arrivals[v][-1]) - 1] for v in g.adjacency[w])
     lhs += sum(shares[min(join_w, it) - 1] for it in arrivals[w][-gain:])
     return lhs, ledger.harmonics[len(g.adjacency[w]) + gain]
 

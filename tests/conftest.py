@@ -91,6 +91,18 @@ def ref_residual_sequence(g, sol, w):
     raise ValueError(f"vertex {w} still has score {r[-1]} after the last step")
 
 
+def ref_neighborhood_lhs(ledger, w):
+    """check_neighborhood_bound(ledger, w)[0] with one min per neighbour, for
+    chosen and unchosen w alike: w is charged a share of iteration
+    min(joined[w], arrivals[v][-1]) for each neighbour v, plus one per
+    arrival of its last self_gain(mode, k, 0)."""
+    ledger.graph._check_vertex(w)
+    shares, arrivals, join_w = ledger.shares, ledger.arrivals, ledger.joined[w]
+    gain = self_gain(ledger.mode, ledger.k, 0)
+    lhs = sum(shares[min(join_w, arrivals[v][-1]) - 1] for v in ledger.graph.adjacency[w])
+    return lhs + sum(shares[min(join_w, it) - 1] for it in arrivals[w][-gain:])
+
+
 def check_subset_cost_bound(ledger, v, subset):
     """True iff v's own coverage charge is at most the charge to subset, in
     shares of ledger.unit: the all-subsets reference of the subset bound.

@@ -40,6 +40,7 @@ from conftest import (
     degree,
     graphs,
     harmonic,
+    ref_neighborhood_lhs,
     ref_residual_sequence,
 )
 
@@ -308,6 +309,56 @@ def test_build_ledger_caps_the_top_score(g, mode, k):
         build_ledger(g, solve(g, mode, k))
 
 
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+@pytest.mark.parametrize("name", ["arrivals", "joined"])
+def test_ledger_rejects_rows_not_one_per_vertex(mode, k, name):
+    led = build_ledger(C6, solve(C6, mode, k))
+    rows = getattr(led, name)
+    for forged in (rows[:-1], rows + rows[-1:]):
+        with pytest.raises(ValueError, match=f"^{name} has {len(forged)} rows for 6 vertices$"):
+            dataclasses.replace(led, **{name: forged})
+
+
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+def test_ledger_rejects_a_vertex_without_arrivals(mode, k):
+    led = build_ledger(C6, solve(C6, mode, k))
+    with pytest.raises(ValueError, match="^vertex 0 has no arrivals$"):
+        dataclasses.replace(led, arrivals=((),) + led.arrivals[1:])
+
+
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+def test_ledger_rejects_an_arrival_after_the_last_iteration(mode, k):
+    led = build_ledger(C6, solve(C6, mode, k))
+    m = len(led.scores)
+    for last in (m + 1, 9):
+        moved = led.arrivals[0][:-1] + (last,)
+        with pytest.raises(ValueError, match=f"^vertex 0 has last arrival {last} after iteration {m}$"):
+            dataclasses.replace(led, arrivals=(moved,) + led.arrivals[1:])
+    # Up to the last iteration, and 0 too, is admitted.
+    for last in (0, m):
+        moved = led.arrivals[0][:-1] + (last,)
+        forged = dataclasses.replace(led, arrivals=(moved,) + led.arrivals[1:])
+        assert forged.done_shares[0] == forged.shares[last - 1]
+
+
+@settings(deadline=None, max_examples=40)
+@given(graphs(max_n=10))
+def test_neighborhood_lhs_matches_the_per_neighbour_reference(g):
+    # Built ledgers, then every joined[w] from 0 to two past the last
+    # iteration, then each last arrival moved to 0.
+    def agrees(led):
+        return all(check_neighborhood_bound(led, w)[0] == ref_neighborhood_lhs(led, w) for w in range(g.n))
+
+    for mode, k in _solvable_modes(g):
+        led = build_ledger(g, solve(g, mode, k))
+        assert agrees(led)
+        for w in range(g.n):
+            for j in range(len(led.scores) + 3):
+                assert agrees(dataclasses.replace(led, joined=led.joined[:w] + (j,) + led.joined[w + 1:]))
+            moved = led.arrivals[w][:-1] + (0,)
+            assert agrees(dataclasses.replace(led, arrivals=led.arrivals[:w] + (moved,) + led.arrivals[w + 1:]))
+
+
 def _scanned_cost(sol, led, v, w):
     """_ref_cost(led, v, w) by scanning v's arrivals for one that w caused."""
     for it in led.arrivals[v]:
@@ -394,6 +445,22 @@ def test_audit_matches_pinned_digest():
             )
         h.update(json.dumps(rows).encode() + b"\n")
     assert (solved, h.hexdigest()) == PINNED_AUDIT
+
+
+# Recorded before unchosen vertices read CostLedger.done_shares: one sha256
+# over audit()'s verdict and rows for the dense_audit benchmark's graphs, with
+# neighbourhoods of about 100, which PINNED_AUDIT's n <= 60 does not reach.
+PINNED_DENSE_AUDIT = "65610f70896c2fbc3396b34ae2d0fb04f85f913a09ec74e30c02554ab45e3ca4"
+
+
+def test_dense_audit_matches_pinned_digest():
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        g = generate(FamilySpec("erdos_renyi", n=400, p=0.25, seed=seed))
+        for mode, k in ((Mode.DOM, 1), (Mode.KTUPLE, 3), (Mode.KDOM, 3)):
+            passed, rows = audit(build_ledger(g, solve(g, mode, k)))
+            h.update(json.dumps([passed, [[str(a), str(b)] for a, b in rows]]).encode() + b"\n")
+    assert h.hexdigest() == PINNED_DENSE_AUDIT
 
 
 # -- the Fraction audit, kept as the reference of the integer one ---------------
