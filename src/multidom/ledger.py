@@ -29,11 +29,14 @@ checks therefore compare exact Python ints, shares of unit; a Fraction is
 built only for the rows audit() returns, and floats only appear when
 comparing harmonic numbers against logarithms.
 audit() runs the sum identity and every vertex's neighborhood bound in one
-pass.  A vertex never chosen takes, for each neighbor, the share of the
-iteration that completed it, so its row is one sum over the ledger's
-done_shares table; the ledger therefore refuses, with ValueError, arrivals
-or joined rows that are not one per vertex and a vertex whose arrivals are
-empty or end after the last iteration.
+pass.  Every completion is read from the ledger's done table, done[v] =
+arrivals[v][-1]: the residual scan counts w's neighbors with done[u] > i at
+each iteration i, and a chosen vertex's row takes min(joined[w], done[v])
+per neighbor.  A vertex never chosen takes, for each neighbor, the share of
+the iteration that completed it, so its row is one sum over done_shares.
+The ledger therefore refuses, with ValueError, arrivals or joined rows that
+are not one per vertex, a vertex whose arrivals are empty or end after the
+last iteration, and joined rows that do not name one vertex per iteration.
 """
 
 from __future__ import annotations
@@ -135,17 +138,19 @@ class CostLedger:
 
     unit = lcm(1..max_degree + self_gain(mode, k, 0)), shares[i-1] =
     unit // scores[i-1], so one arrival of iteration i costs shares[i-1] /
-    unit exactly, done_shares[v] = shares[arrivals[v][-1] - 1] is the share
-    of the iteration that completed v, and harmonics[x] = unit * H(x) for
-    each x = deg(w) + self_gain(mode, k, 0).  All four are derived from
-    scores, arrivals and the graph, never passed in.  ValueError is raised,
-    as no greedy run can give them, for a score outside 1..max_degree +
-    self_gain(mode, k, 0), for arrivals or joined not of length n, and for
-    a vertex whose arrivals are empty or end after the last iteration.
+    unit exactly, done[v] = arrivals[v][-1] is the iteration that completed
+    v, done_shares[v] = shares[done[v] - 1] is that iteration's share, and
+    harmonics[x] = unit * H(x) for each x = deg(w) + self_gain(mode, k, 0).
+    All five are derived from scores, arrivals and the graph, never passed
+    in.  ValueError is raised, as no greedy run can give them, for a score
+    outside 1..max_degree + self_gain(mode, k, 0), for arrivals or joined
+    not of length n, for a vertex whose arrivals are empty or end after the
+    last iteration, and for joined rows that do not name exactly one vertex
+    for each iteration 1..len(scores) and len(scores) + 1 for the rest.
 
     The one charge rule: v's own coverage costs a share per arrival, and w
-    in N[v] is charged for it a share of iteration min(joined[w],
-    arrivals[v][-1]), the arrival w gave v or else the one that completed v.
+    in N[v] is charged for it a share of iteration min(joined[w], done[v]),
+    the arrival w gave v or else the one that completed v.
     """
 
     mode: Mode
@@ -156,6 +161,7 @@ class CostLedger:
     joined: tuple[int, ...]
     unit: int = field(init=False, repr=False)
     shares: tuple[int, ...] = field(init=False, repr=False)
+    done: tuple[int, ...] = field(init=False, repr=False, compare=False)
     done_shares: tuple[int, ...] = field(init=False, repr=False, compare=False)
     harmonics: dict[int, int] = field(init=False, repr=False, compare=False)  # a dict: not hashed
 
@@ -174,6 +180,11 @@ class CostLedger:
                 raise ValueError(f"vertex {v} has no arrivals")
             if row[-1] > m:
                 raise ValueError(f"vertex {v} has last arrival {row[-1]} after iteration {m}")
+        if sorted(self.joined) != [*range(1, m + 1), *[m + 1] * (n - m)]:
+            raise ValueError(
+                f"joined does not name one vertex per iteration 1..{m} and {m + 1} for the rest"
+            )
+        done = tuple(row[-1] for row in self.arrivals)
         unit = lcm_upto(top)
         # One int per distinct score, shared by every iteration that has it.
         by_score = {s: unit // s for s in set(self.scores)}
@@ -183,7 +194,8 @@ class CostLedger:
         hs = {x: h for x, h in enumerate(scaled_harmonics(unit, top)) if x in needed}
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "shares", shares)
-        object.__setattr__(self, "done_shares", tuple(shares[row[-1] - 1] for row in self.arrivals))
+        object.__setattr__(self, "done", done)
+        object.__setattr__(self, "done_shares", tuple(shares[d - 1] for d in done))
         object.__setattr__(self, "harmonics", hs)
 
     def residual_sequence(self, w: int) -> tuple[int, ...]:
@@ -194,17 +206,17 @@ class CostLedger:
         while w itself is uncovered.  The sequence stops at the first zero.
         """
         self.graph._check_vertex(w)
-        nbrs = self.graph.adjacency[w]
-        arrivals = self.arrivals
-        arrivals_w = arrivals[w]
-        covered_w = arrivals_w[-1]  # the iteration that completed w
+        done = self.done
+        nbrs_done = [done[u] for u in self.graph.adjacency[w]]
+        arrivals_w = self.arrivals[w]
+        covered_w = done[w]
         join_w = self.joined[w]
         r: list[int] = []
         i = 0
         while True:
             val = 0
             if join_w > i:
-                val = sum(1 for u in nbrs if arrivals[u][-1] > i)
+                val = sum(1 for d in nbrs_done if d > i)
                 if covered_w > i:
                     val += self_gain(self.mode, self.k, bisect_right(arrivals_w, i))
             r.append(val)
@@ -308,13 +320,13 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[int, int]:
     that is for its last self_gain(mode, k, 0) arrivals.  For k-domination
     those are all k of w's arrivals, each at or before joined[w], so the
     self-charge is all of w's own coverage charge; otherwise it is the one
-    charge for arrivals[w][-1].  The bound is H(deg(w) + self_gain(mode, k, 0)),
+    charge for done[w].  The bound is H(deg(w) + self_gain(mode, k, 0)),
     that is H(deg(w) + 1), or H(deg(w) + k) for k-domination, read from
     ledger.harmonics.
     """
     g = ledger.graph
     g._check_vertex(w)
-    shares, arrivals = ledger.shares, ledger.arrivals
+    shares, done = ledger.shares, ledger.done
     join_w = ledger.joined[w]
     gain = self_gain(ledger.mode, ledger.k, 0)
     if join_w > len(shares):
@@ -322,8 +334,8 @@ def check_neighborhood_bound(ledger: CostLedger, w: int) -> tuple[int, int]:
         # each neighbor's min is its completion iteration.
         lhs = sum(map(ledger.done_shares.__getitem__, g.adjacency[w]))
     else:
-        lhs = sum(shares[min(join_w, arrivals[v][-1]) - 1] for v in g.adjacency[w])
-    lhs += sum(shares[min(join_w, it) - 1] for it in arrivals[w][-gain:])
+        lhs = sum(shares[min(join_w, done[v]) - 1] for v in g.adjacency[w])
+    lhs += sum(shares[min(join_w, it) - 1] for it in ledger.arrivals[w][-gain:])
     return lhs, ledger.harmonics[len(g.adjacency[w]) + gain]
 
 

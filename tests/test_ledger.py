@@ -12,6 +12,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from multidom import (
+    CostLedger,
     FamilySpec,
     Graph,
     GraphError,
@@ -30,6 +31,7 @@ from multidom import (
     generate,
     self_gain,
     solve,
+    splitmix64,
     verify_greedy_optimality,
 )
 from multidom.ledger import lcm_upto
@@ -338,23 +340,44 @@ def test_ledger_rejects_an_arrival_after_the_last_iteration(mode, k):
     for last in (0, m):
         moved = led.arrivals[0][:-1] + (last,)
         forged = dataclasses.replace(led, arrivals=(moved,) + led.arrivals[1:])
-        assert forged.done_shares[0] == forged.shares[last - 1]
+        assert (forged.done[0], forged.done_shares[0]) == (last, forged.shares[last - 1])
+
+
+@pytest.mark.parametrize("mode, k", C6_RUNS)
+def test_ledger_rejects_joined_not_one_vertex_per_iteration(mode, k):
+    led = build_ledger(C6, solve(C6, mode, k))
+    m = len(led.scores)
+    message = f"^joined does not name one vertex per iteration 1..{m} and {m + 1} for the rest$"
+    # Any one joined[w] changed, to 0, to an iteration, or past the end:
+    # an iteration left with no vertex or with two, or a row out of range.
+    for w in range(6):
+        for j in range(m + 3):
+            if j != led.joined[w]:
+                with pytest.raises(ValueError, match=message):
+                    dataclasses.replace(led, joined=led.joined[:w] + (j,) + led.joined[w + 1:])
+    # On path(2), one iteration that chose no vertex; and a row of 0.
+    for joined in ((5, 2), (0, 2)):
+        with pytest.raises(ValueError, match=r"^joined does not name one vertex per iteration 1\.\.1 and 2"):
+            CostLedger(Mode.DOM, 1, path(2), (2,), ((1,), (1,)), joined)
+    assert CostLedger(Mode.DOM, 1, path(2), (2,), ((1,), (1,)), (1, 2)).done == (1, 1)
 
 
 @settings(deadline=None, max_examples=40)
 @given(graphs(max_n=10))
 def test_neighborhood_lhs_matches_the_per_neighbour_reference(g):
-    # Built ledgers, then every joined[w] from 0 to two past the last
-    # iteration, then each last arrival moved to 0.
+    # Built ledgers, then every pair of joined values swapped, the one forgery
+    # of joined the ledger admits, then each last arrival moved to 0.
     def agrees(led):
         return all(check_neighborhood_bound(led, w)[0] == ref_neighborhood_lhs(led, w) for w in range(g.n))
 
     for mode, k in _solvable_modes(g):
         led = build_ledger(g, solve(g, mode, k))
         assert agrees(led)
+        for a, b in itertools.combinations(range(g.n), 2):
+            joined = list(led.joined)
+            joined[a], joined[b] = joined[b], joined[a]
+            assert agrees(dataclasses.replace(led, joined=tuple(joined)))
         for w in range(g.n):
-            for j in range(len(led.scores) + 3):
-                assert agrees(dataclasses.replace(led, joined=led.joined[:w] + (j,) + led.joined[w + 1:]))
             moved = led.arrivals[w][:-1] + (0,)
             assert agrees(dataclasses.replace(led, arrivals=led.arrivals[:w] + (moved,) + led.arrivals[w + 1:]))
 
@@ -461,6 +484,38 @@ def test_dense_audit_matches_pinned_digest():
             passed, rows = audit(build_ledger(g, solve(g, mode, k)))
             h.update(json.dumps([passed, [[str(a), str(b)] for a, b in rows]]).encode() + b"\n")
     assert h.hexdigest() == PINNED_DENSE_AUDIT
+
+
+# Recorded before the residual scan read CostLedger.done: one sha256 over
+# every vertex's residual sequence and audit()'s rows and verdict on a ring of
+# 1000 plus 3000 random chords, whose runs of hundreds of iterations neither
+# PINNED_AUDIT nor PINNED_DENSE_AUDIT reaches.
+PINNED_SPARSE_AUDIT = "f179840a79a5fbc07b2dfe6e28edd3b310a36a994f0e1fe7ca9e196ef111464f"
+
+
+def _ring_with_chords(n, chords, seed):
+    """Ring 0-1-...-(n-1)-0 plus chords distinct chords whose endpoints are
+    splitmix64(seed) outputs modulo n: minimum degree 2, so ktuple k = 2 is
+    admitted."""
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    target = len(edges) + chords
+    stream = splitmix64(seed)
+    while len(edges) < target:
+        u, v = next(stream) % n, next(stream) % n
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+def test_sparse_audit_matches_pinned_digest():
+    g = _ring_with_chords(1000, 3000, seed=7)
+    h = hashlib.sha256()
+    for mode, k in ((Mode.DOM, 1), (Mode.KTUPLE, 2), (Mode.KDOM, 2)):
+        led = build_ledger(g, solve(g, mode, k))
+        passed, rows = audit(led)
+        residuals = [list(led.residual_sequence(w)) for w in range(g.n)]
+        h.update(json.dumps([passed, [[str(a), str(b)] for a, b in rows], residuals]).encode() + b"\n")
+    assert h.hexdigest() == PINNED_SPARSE_AUDIT
 
 
 # -- the Fraction audit, kept as the reference of the integer one ---------------
